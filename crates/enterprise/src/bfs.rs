@@ -231,6 +231,12 @@ pub struct SingleLane {
     /// The lane's fault universe, parked here between slices so sibling
     /// lanes never draw from it.
     bundle: FaultBundle,
+    /// Kernels launched while this lane's slot was active, with start
+    /// times rebased onto the lane's own stream.
+    records: Vec<KernelRecord>,
+    /// The lane's stream position: simulated time its slices have
+    /// charged since admission.
+    clock_ms: f64,
 }
 
 /// What the end-of-level verifier concluded about the completed level.
@@ -335,6 +341,9 @@ impl crate::batch::BatchHost for Enterprise {
     }
 
     fn sweep_begin(&mut self, width: usize) {
+        // Whatever ran between sweeps (a de-pipelined sequential run,
+        // whose result already holds its records) belongs to no lane.
+        self.device.drain_records();
         self.device.begin_fused(width);
     }
 
@@ -355,24 +364,34 @@ impl crate::batch::BatchHost for Enterprise {
         if let Some(spec) = spec {
             self.device.set_fault_plan(Some(FaultPlan::new(spec)));
         }
+        let t0 = self.device.elapsed_ms();
         let result = self.lane_open_inner(source, slot);
         // Park the lane's universe (even a refused open's) in a bundle,
         // so sibling slices in the same sweep never draw from it.
         let mut bundle = FaultBundle::default();
         self.device.swap_fault_bundle(&mut bundle);
-        result.map(|mut lane| {
-            lane.bundle = bundle;
-            lane
-        })
+        match result {
+            Ok(mut lane) => {
+                lane.bundle = bundle;
+                self.take_slice_records(&mut lane, t0);
+                Ok(lane)
+            }
+            Err(e) => {
+                self.device.drain_records();
+                Err(e)
+            }
+        }
     }
 
     fn lane_step(&mut self, lane: &mut SingleLane) -> Result<bool, BfsError> {
         self.device.swap_fault_bundle(&mut lane.bundle);
+        let t0 = self.device.elapsed_ms();
         let mut parked = lane.state.take().expect("lane state present");
         std::mem::swap(&mut self.state, &mut parked);
         let out = self.lane_level(lane);
         std::mem::swap(&mut self.state, &mut parked);
         lane.state = Some(parked);
+        self.take_slice_records(lane, t0);
         self.device.swap_fault_bundle(&mut lane.bundle);
         out
     }
@@ -393,10 +412,15 @@ impl crate::batch::BatchHost for Enterprise {
         std::mem::swap(&mut self.state, &mut parked);
         self.park_lane_state(lane.slot, parked);
         // The run's time is its lane stream's serial charge, not the
-        // device clock (which advanced by the overlapped sweep spans).
+        // device clock (which advanced by the overlapped sweep spans);
+        // its timeline and report cover only the kernels its slot
+        // launched, and its fault counters are its own universe's.
         result.time_ms = time_ms;
         result.teps =
             if time_ms > 0.0 { result.traversed_edges as f64 / (time_ms / 1e3) } else { 0.0 };
+        result.records = lane.records;
+        result.report = DeviceReport::from_records(&result.records, self.device.config(), time_ms);
+        result.report.faults = lane.bundle.stats();
         if self.config.verify.end_of_run {
             let csr = self.verify_csr.as_ref().expect("end-of-run audit requires the host CSR");
             // A dirty audit demotes the source to the de-pipelined
@@ -814,6 +838,20 @@ impl Enterprise {
         Ok(self.collect_result(source, vars.switched_at, trace, recovery))
     }
 
+    /// Moves the kernels a lane slice launched (since `slice_start_ms`
+    /// on the device clock) into the lane, rebasing their start times
+    /// onto the lane's own stream, and advances that stream by the
+    /// slice's charge: a lane's records read like a sequential run's,
+    /// starting at zero, however long the fleet has been serving.
+    fn take_slice_records(&mut self, lane: &mut SingleLane, slice_start_ms: f64) {
+        let base = lane.clock_ms;
+        lane.records.extend(self.device.drain_records().into_iter().map(|mut r| {
+            r.start_ms = base + (r.start_ms - slice_start_ms);
+            r
+        }));
+        lane.clock_ms += self.device.elapsed_ms() - slice_start_ms;
+    }
+
     /// Returns a lane's working state to its per-slot pool. The simulator
     /// never frees device memory, so pooling (rather than dropping) keeps
     /// a long batch's footprint bounded at `width` extra states instead of
@@ -881,6 +919,8 @@ impl Enterprise {
             level_cap: self.config.watchdog.level_cap(n),
             stall: StallDetector::new(self.config.watchdog.stall_levels),
             bundle: FaultBundle::default(),
+            records: Vec::new(),
+            clock_ms: 0.0,
         })
     }
 

@@ -499,6 +499,9 @@ pub struct MultiLane {
     /// per-device straggler/throttle state + link plan), swapped in for
     /// each slice so sibling lanes never draw from it.
     bundle: FleetFaultBundle,
+    /// Interconnect bytes this lane's own levels moved (exchanges,
+    /// replays and reroutes included; the seed moves none).
+    comm_bytes: u64,
 }
 
 impl crate::batch::BatchHost for MultiGpuEnterprise {
@@ -589,7 +592,12 @@ impl crate::batch::BatchHost for MultiGpuEnterprise {
     }
 
     fn sweep_end(&mut self, width: usize) -> Vec<f64> {
-        self.multi.end_fused(width)
+        let charges = self.multi.end_fused(width);
+        // Lane results carry no kernel records, so the sweep's records
+        // are dropped here; otherwise a warm fleet's timeline would grow
+        // with every batch it serves.
+        self.multi.discard_records();
+        charges
     }
 
     fn lane_open(
@@ -615,7 +623,9 @@ impl crate::batch::BatchHost for MultiGpuEnterprise {
     fn lane_step(&mut self, lane: &mut MultiLane) -> Result<bool, BfsError> {
         self.multi.swap_fleet_fault_bundle(&mut lane.bundle);
         self.swap_lane_states(lane);
+        let bytes0 = self.multi.transferred_bytes();
         let out = self.lane_level(lane);
+        lane.comm_bytes += self.multi.transferred_bytes() - bytes0;
         self.swap_lane_states(lane);
         self.multi.swap_fleet_fault_bundle(&mut lane.bundle);
         out
@@ -640,8 +650,11 @@ impl crate::batch::BatchHost for MultiGpuEnterprise {
         self.swap_lane_states(&mut lane);
         self.park_lane_states(&mut lane);
         // The run's time is its lane stream's serial charge, not the
-        // fleet clock (which advanced by the overlapped sweep spans).
+        // fleet clock (which advanced by the overlapped sweep spans);
+        // likewise its traffic is what its own levels moved, not the
+        // fleet's cumulative total.
         result.time_ms = time_ms;
+        result.communication_bytes = lane.comm_bytes;
         result.teps =
             if time_ms > 0.0 { result.traversed_edges as f64 / (time_ms / 1e3) } else { 0.0 };
         if self.config.verify.end_of_run {
@@ -2385,6 +2398,7 @@ impl MultiGpuEnterprise {
             level_cap: self.config.watchdog.level_cap(n),
             stall: StallDetector::new(self.config.watchdog.stall_levels),
             bundle: FleetFaultBundle::healthy(p),
+            comm_bytes: 0,
         })
     }
 
@@ -2623,6 +2637,30 @@ mod tests {
     use super::*;
     use crate::validate::cpu_levels;
     use enterprise_graph::gen::kronecker;
+
+    /// A warm fleet serving pipelined batches keeps a flat timeline:
+    /// lane results return no records, so each sweep end drops them and
+    /// the per-device record count after batch 10 equals that after
+    /// batch 2.
+    #[test]
+    fn warm_pipelined_fleet_keeps_a_flat_timeline() {
+        let g = kronecker(9, 8, 5);
+        let queue: Vec<crate::BatchSource> =
+            [3u32, 17, 101, 255, 7, 64].iter().map(|&s| crate::BatchSource::new(s)).collect();
+        let mut sys = MultiGpuEnterprise::new(MultiGpuConfig::k40s(4), &g);
+        let counts = |sys: &MultiGpuEnterprise| -> Vec<usize> {
+            (0..sys.multi.count()).map(|d| sys.multi.device_ref(d).records().len()).collect()
+        };
+        let mut after_two = Vec::new();
+        for batch in 1..=10 {
+            let report = sys.batch(&queue, &crate::BatchPolicy::pipelined(4));
+            assert_eq!(report.completed, queue.len());
+            if batch == 2 {
+                after_two = counts(&sys);
+            }
+        }
+        assert_eq!(counts(&sys), after_two, "1-D fleet timeline grew across batches");
+    }
 
     #[test]
     fn multi_gpu_matches_oracle_levels() {

@@ -208,6 +208,9 @@ pub struct GridLane {
     /// The lane's parked fleet fault universe, swapped in per slice so
     /// sibling lanes never draw from it.
     bundle: FleetFaultBundle,
+    /// Interconnect bytes this lane's own levels moved (exchanges,
+    /// replays and reroutes included; the seed moves none).
+    comm_bytes: u64,
 }
 
 impl crate::batch::BatchHost for MultiGpu2DEnterprise {
@@ -286,7 +289,12 @@ impl crate::batch::BatchHost for MultiGpu2DEnterprise {
     }
 
     fn sweep_end(&mut self, width: usize) -> Vec<f64> {
-        self.multi.end_fused(width)
+        let charges = self.multi.end_fused(width);
+        // Lane results carry no kernel records, so the sweep's records
+        // are dropped here; otherwise a warm fleet's timeline would grow
+        // with every batch it serves.
+        self.multi.discard_records();
+        charges
     }
 
     fn lane_open(
@@ -312,7 +320,9 @@ impl crate::batch::BatchHost for MultiGpu2DEnterprise {
     fn lane_step(&mut self, lane: &mut GridLane) -> Result<bool, BfsError> {
         self.multi.swap_fleet_fault_bundle(&mut lane.bundle);
         self.swap_lane_states(lane);
+        let bytes0 = self.multi.transferred_bytes();
         let out = self.lane_level(lane);
+        lane.comm_bytes += self.multi.transferred_bytes() - bytes0;
         self.swap_lane_states(lane);
         self.multi.swap_fleet_fault_bundle(&mut lane.bundle);
         out
@@ -335,8 +345,11 @@ impl crate::batch::BatchHost for MultiGpu2DEnterprise {
         self.swap_lane_states(&mut lane);
         self.park_lane_states(&mut lane);
         // The run's time is its lane stream's serial charge, not the
-        // fleet clock (which advanced by the overlapped sweep spans).
+        // fleet clock (which advanced by the overlapped sweep spans);
+        // likewise its traffic is what its own levels moved, not the
+        // fleet's cumulative total.
         result.time_ms = time_ms;
+        result.communication_bytes = lane.comm_bytes;
         result.teps =
             if time_ms > 0.0 { result.traversed_edges as f64 / (time_ms / 1e3) } else { 0.0 };
         if self.config.verify.end_of_run {
@@ -1767,6 +1780,7 @@ impl MultiGpu2DEnterprise {
             level_cap: self.config.watchdog.level_cap(n),
             stall: StallDetector::new(self.config.watchdog.stall_levels),
             bundle: FleetFaultBundle::healthy(p),
+            comm_bytes: 0,
         })
     }
 
@@ -1954,6 +1968,30 @@ mod tests {
     use super::*;
     use crate::validate::cpu_levels;
     use enterprise_graph::gen::{kronecker, rmat};
+
+    /// A warm fleet serving pipelined batches keeps a flat timeline:
+    /// lane results return no records, so each sweep end drops them and
+    /// the per-device record count after batch 10 equals that after
+    /// batch 2.
+    #[test]
+    fn warm_pipelined_fleet_keeps_a_flat_timeline() {
+        let g = kronecker(9, 8, 5);
+        let queue: Vec<crate::BatchSource> =
+            [3u32, 17, 101, 255, 7, 64].iter().map(|&s| crate::BatchSource::new(s)).collect();
+        let mut sys = MultiGpu2DEnterprise::new(Grid2DConfig::k40s(2, 2), &g);
+        let counts = |sys: &MultiGpu2DEnterprise| -> Vec<usize> {
+            (0..sys.multi.count()).map(|d| sys.multi.device_ref(d).records().len()).collect()
+        };
+        let mut after_two = Vec::new();
+        for batch in 1..=10 {
+            let report = sys.batch(&queue, &crate::BatchPolicy::pipelined(4));
+            assert_eq!(report.completed, queue.len());
+            if batch == 2 {
+                after_two = counts(&sys);
+            }
+        }
+        assert_eq!(counts(&sys), after_two, "2x2 fleet timeline grew across batches");
+    }
 
     #[test]
     fn grid_shapes_match_oracle() {

@@ -559,3 +559,107 @@ fn degraded_batch_resumes_on_survivor_fleet() {
     }
     panic!("no seed in 0..40 browned out the fleet inside the first two sources");
 }
+
+/// Eight sources through four lanes: later sources are admitted while
+/// siblings are mid-flight, so lane slices interleave on the fleet.
+fn lane_queue() -> Vec<BatchSource> {
+    [3u32, 17, 101, 255, 7, 64, 200, 311].iter().map(|&s| BatchSource::new(s)).collect()
+}
+
+/// Equal up to the rounding of the absolute device clock, which every
+/// lane charge is measured against (a lane's `time_ms` already carries
+/// it): ~1e-16 ms here, far below any modeled quantity.
+fn same_ms(x: f64, y: f64) -> bool {
+    (x - y).abs() <= 1e-12 * x.abs().max(y.abs()).max(1.0)
+}
+
+/// A pipelined lane's records and report are its own. On one warm
+/// single-GPU instance, two identical `Overlap(4)` batches return the
+/// same per-lane kernels, counters and report; nothing carries over
+/// from the batches before. Each lane's records are exactly the kernels
+/// a sequential run of that source launches, on the lane's own
+/// timeline from zero; the report is built from those records over the
+/// lane's charged time; and the device keeps no records once a batch
+/// is done.
+#[test]
+fn pipelined_lane_records_and_report_are_per_source() {
+    let g = kronecker(9, 8, 5);
+    let piped = BatchPolicy::pipelined(4);
+    let cfg = EnterpriseConfig::default();
+    let mut sys = Enterprise::new(cfg.clone(), &g);
+    sys.batch(&lane_queue(), &piped);
+    let a = sys.batch(&lane_queue(), &piped);
+    assert!(sys.device().records().is_empty(), "a lane batch left records on the device");
+    let b = sys.batch(&lane_queue(), &piped);
+    assert!(sys.device().records().is_empty(), "a lane batch left records on the device");
+    assert_eq!(b.completed, lane_queue().len());
+    let mut seq = Enterprise::new(cfg.clone(), &g);
+    for (x, y) in a.runs.iter().zip(&b.runs) {
+        let (xr, yr) = (x.result.as_ref().unwrap(), y.result.as_ref().unwrap());
+        let src = x.source;
+
+        // Identical across batches: every kernel, counter and report
+        // field, with clock-derived values equal to rounding.
+        assert_eq!(xr.records.len(), yr.records.len(), "source {src}: kernel count drifted");
+        for (kx, ky) in xr.records.iter().zip(&yr.records) {
+            assert!(same_ms(kx.start_ms, ky.start_ms), "source {src}: start drifted");
+            let (mut kx, mut ky) = (kx.clone(), ky.clone());
+            (kx.start_ms, ky.start_ms) = (0.0, 0.0);
+            assert_eq!(format!("{kx:?}"), format!("{ky:?}"), "source {src}: kernel drifted");
+        }
+        assert!(same_ms(xr.time_ms, yr.time_ms));
+        let (rx, ry) = (&xr.report, &yr.report);
+        assert_eq!(rx.kernels, ry.kernels);
+        assert_eq!(rx.warp_instructions, ry.warp_instructions);
+        assert_eq!(rx.gld_transactions, ry.gld_transactions);
+        assert_eq!(rx.l2_hits, ry.l2_hits);
+        assert_eq!(rx.dram_transactions, ry.dram_transactions);
+        assert!(same_ms(rx.total_time_ms, ry.total_time_ms));
+        assert!(same_ms(rx.energy_j, ry.energy_j));
+
+        // Only this lane's kernels: the sequential run's launch sequence.
+        let want = seq.try_bfs(src).expect("sequential twin failed");
+        let names = |r: &enterprise::BfsResult| -> Vec<String> {
+            r.records.iter().map(|k| k.name.clone()).collect()
+        };
+        assert_eq!(names(xr), names(&want), "source {src}: lane holds foreign kernels");
+
+        // The lane's own timeline, and a report built from it.
+        assert!(xr.records[0].start_ms.abs() < 1e-12, "source {src}: timeline not rebased");
+        assert!(xr.records.windows(2).all(|w| w[0].start_ms <= w[1].start_ms));
+        assert!(xr.records.iter().all(|k| k.start_ms < xr.time_ms));
+        let built = gpu_sim::DeviceReport::from_records(&xr.records, &cfg.device, xr.time_ms);
+        assert_eq!(format!("{:?}", xr.report), format!("{built:?}"));
+    }
+}
+
+/// A pipelined lane's traffic is its own: on clean 4-GPU 1-D and 2x2
+/// fleets, each lane's `communication_bytes` equals what the sequential
+/// plane reports for that source, and a second batch on the same warm
+/// fleet reports the same again.
+#[test]
+fn pipelined_lane_traffic_matches_sequential_per_source() {
+    let g = kronecker(9, 8, 5);
+    let piped = BatchPolicy::pipelined(4);
+    macro_rules! check {
+        ($mk:expr, $tag:literal) => {{
+            let seq = $mk.batch(&lane_queue(), &BatchPolicy::on());
+            let mut warm = $mk;
+            for round in 0..2 {
+                let par = warm.batch(&lane_queue(), &piped);
+                assert_eq!(par.completed, lane_queue().len());
+                for (s, p) in seq.runs.iter().zip(&par.runs) {
+                    let (sr, pr) = (s.result.as_ref().unwrap(), p.result.as_ref().unwrap());
+                    assert!(sr.communication_bytes > 0);
+                    assert_eq!(
+                        pr.communication_bytes, sr.communication_bytes,
+                        concat!($tag, ": source {} lane traffic diverged in batch {}"),
+                        s.source, round
+                    );
+                }
+            }
+        }};
+    }
+    check!(MultiGpuEnterprise::new(MultiGpuConfig::k40s(4), &g), "1-D");
+    check!(MultiGpu2DEnterprise::new(Grid2DConfig::k40s(2, 2), &g), "2-D");
+}

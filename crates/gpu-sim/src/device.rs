@@ -762,13 +762,25 @@ impl Device {
         std::mem::swap(&mut self.mem.sdc_tolerant, &mut bundle.sdc_tolerant);
     }
 
-    /// All kernel records since the last reset.
+    /// All kernel records since the last reset or drain.
     pub fn records(&self) -> &[KernelRecord] {
         &self.records
     }
 
-    /// Aggregate nvprof-style report since the last reset, including this
-    /// device's injected-fault counters.
+    /// Hands back the kernel records launched since the last reset or
+    /// drain and starts an empty list. Only the record list moves: the
+    /// timeline, execution clock, L2 and fault plan are untouched, so a
+    /// run that never drains sees no difference. Refused inside a
+    /// Hyper-Q concurrent group, whose pending launches are held as
+    /// indices into the list.
+    pub fn drain_records(&mut self) -> Vec<KernelRecord> {
+        assert_eq!(self.concurrent_depth, 0, "drain_records inside a concurrent group");
+        std::mem::take(&mut self.records)
+    }
+
+    /// Aggregate nvprof-style report over [`Device::records`] and the
+    /// timeline since the last reset, including this device's
+    /// injected-fault counters.
     pub fn report(&self) -> DeviceReport {
         let mut report = DeviceReport::from_records(&self.records, &self.config, self.now_ms);
         report.faults = self.fault_stats();
@@ -856,6 +868,42 @@ mod tests {
         let charges = d.end_fused();
         assert_eq!(charges, vec![0.0; 4]);
         assert_eq!(d.elapsed_ms(), 1.5);
+    }
+
+    fn launch_one(d: &mut Device, name: &str) {
+        d.launch(name, crate::LaunchConfig::for_threads(32, 32), |_| {});
+    }
+
+    #[test]
+    fn drain_hands_back_records_and_leaves_clocks_alone() {
+        let mut d = Device::new(DeviceConfig::k40());
+        launch_one(&mut d, "a");
+        launch_one(&mut d, "b");
+        let (now, exec) = (d.elapsed_ms(), d.exec_elapsed_ms());
+        let first: Vec<String> = d.drain_records().into_iter().map(|r| r.name).collect();
+        assert_eq!(first, ["a", "b"]);
+        assert!(d.records().is_empty());
+        assert_eq!((d.elapsed_ms(), d.exec_elapsed_ms()), (now, exec), "drain moved a clock");
+        launch_one(&mut d, "c");
+        let second = d.drain_records();
+        assert_eq!(second.len(), 1, "a drain returns only launches since the last one");
+        assert_eq!(second[0].start_ms, now, "the timeline continues across a drain");
+        // Inside a fused window the drain is allowed and the window
+        // resolves exactly as without it.
+        d.begin_fused(1);
+        d.fused_switch(0);
+        launch_one(&mut d, "d");
+        assert_eq!(d.drain_records().len(), 1);
+        d.end_fused();
+    }
+
+    #[test]
+    #[should_panic(expected = "drain_records inside a concurrent group")]
+    fn drain_is_refused_inside_a_concurrent_group() {
+        let mut d = Device::new(DeviceConfig::k40());
+        d.begin_concurrent();
+        launch_one(&mut d, "a");
+        d.drain_records();
     }
 
     #[test]

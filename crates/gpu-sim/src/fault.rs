@@ -736,7 +736,8 @@ pub enum DeviceError {
         device: usize,
         /// Kernel name.
         kernel: String,
-        /// Index the kernel would have had in the device's record list.
+        /// Index the kernel would have had in the device's record list
+        /// (counted since the last reset or drain).
         launch_index: usize,
     },
     /// A host-side device-memory access outside a buffer's bounds

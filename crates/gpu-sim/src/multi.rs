@@ -611,6 +611,17 @@ impl MultiDevice {
         self.transferred_bytes = 0;
     }
 
+    /// Discards every device's kernel records (see
+    /// [`Device::drain_records`]) without touching clocks, caches or
+    /// traffic accounting: the pipelined drivers, which return no
+    /// records, call this at each sweep end so a warm fleet's timeline
+    /// stays bounded.
+    pub fn discard_records(&mut self) {
+        for d in &mut self.devices {
+            d.drain_records();
+        }
+    }
+
     /// Opens a fused multi-lane window on every surviving device (see
     /// [`Device::begin_fused`]).
     pub fn begin_fused(&mut self, width: usize) {
