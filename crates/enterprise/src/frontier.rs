@@ -229,6 +229,17 @@ fn clear_hub_table(device: &mut Device, st: &BfsState) -> Result<(), DeviceError
         .map(|_| ())
 }
 
+/// Word index of a thread's `cnt`-th class-`k` bin entry. The bins are
+/// transposed — entry `cnt` of every thread sits in one row of `t`
+/// words, at `k * bin_region + cnt * t + tid` — so when the lanes of a
+/// warp store (and the copy pass later loads) their `cnt`-th entries,
+/// consecutive lanes touch consecutive words: one 128-byte segment per
+/// warp request instead of one per lane. `t` is the grid of the kernel
+/// that filled the bins, and `bin_region` is `t * chunk`.
+fn bin_slot(k: usize, bin_region: usize, cnt: usize, t: usize, tid: u64) -> usize {
+    k * bin_region + cnt * t + tid as usize
+}
+
 /// Status-array scan shared by the top-down (interleaved, match ==
 /// `match_status`) and switch (blocked, match unvisited) workflows.
 ///
@@ -300,8 +311,7 @@ fn scan_status(
                 let lane = l.lane as usize;
                 frontier[lane].map(|v| {
                     let k = class[lane];
-                    let slot = k * bin_region + (l.tid as usize) * chunk + cnt[lane][k] as usize;
-                    (slot, v as u32)
+                    (bin_slot(k, bin_region, cnt[lane][k] as usize, t, l.tid), v as u32)
                 })
             });
             for lane in w.lanes() {
@@ -425,9 +435,7 @@ fn filter_queues(
                 match (vids[lane], stats[lane]) {
                     (Some(v), Some(s)) if s == UNVISITED => {
                         let k = keep_class[lane];
-                        let slot =
-                            k * bin_region + (l.tid as usize) * chunk + cnt[lane][k] as usize;
-                        Some((slot, v))
+                        Some((bin_slot(k, bin_region, cnt[lane][k] as usize, t, l.tid), v))
                     }
                     _ => None,
                 }
@@ -519,8 +527,7 @@ fn copy_bins_to_queues(
             for j in 0..max_cnt {
                 let vals = w.load_global(bins, |l| {
                     let lane = l.lane as usize;
-                    (j < cnts[lane])
-                        .then(|| k * bin_region + (l.tid as usize) * chunk + j as usize)
+                    (j < cnts[lane]).then(|| bin_slot(k, bin_region, j as usize, t, l.tid))
                 });
                 w.store_global(queues[k], |l| {
                     let lane = l.lane as usize;
@@ -723,6 +730,60 @@ mod tests {
         assert_eq!(r.sizes, [0, 0, 0, 0]);
         assert_eq!(r.hub_frontiers, 0);
         let _ = UNVISITED;
+    }
+
+    /// The bin accesses of one queue-generation pass: the kernel's
+    /// global requests and transactions for the scan's bin stores and the
+    /// copy pass's bin loads. The pass over `dense` status minus the same
+    /// pass over `empty` status leaves exactly the bin traffic — every
+    /// other access (status and offset loads, per-thread counts) has the
+    /// same addresses in both runs, and an access with no active lane
+    /// issues no request.
+    fn bin_traffic(g: &Csr, wf: GenWorkflow, dense: u32, empty: u32) -> [(u64, u64); 2] {
+        let run = |status: u32| {
+            let mut f = fixture(g, 100);
+            let n = g.vertex_count();
+            f.device.mem().upload(f.st.status, &vec![status; n]);
+            f.device.drain_records();
+            let r = generate_queues(&mut f.device, &f.dg, &mut f.st, wf, false);
+            let records = f.device.drain_records();
+            let find =
+                |name: &str| records.iter().find(|k| k.name.starts_with(name)).unwrap().clone();
+            let (scan, copy) = (find("scan_status"), find("copy_bins"));
+            (
+                r.sizes,
+                (scan.gst_requests, scan.gst_transactions),
+                (copy.gld_requests, copy.gld_transactions),
+            )
+        };
+        let (dense_sizes, dense_st, dense_ld) = run(dense);
+        let (empty_sizes, empty_st, empty_ld) = run(empty);
+        assert_eq!(dense_sizes.iter().sum::<usize>(), g.vertex_count());
+        assert_eq!(empty_sizes, [0; 4]);
+        [
+            (dense_st.0 - empty_st.0, dense_st.1 - empty_st.1),
+            (dense_ld.0 - empty_ld.0, dense_ld.1 - empty_ld.1),
+        ]
+    }
+
+    #[test]
+    fn dense_bin_accesses_are_one_transaction_per_warp_request() {
+        // Every vertex of a 8192-cycle is in the frontier and in one
+        // class, so at each step all 32 lanes of a warp bin their `j`-th
+        // entry: the transposed layout puts those entries in one
+        // 128-byte segment (a thread-major layout would need 16).
+        let n = 16 * gpu_sim::SCAN_GRID_FLOOR_THREADS;
+        let g = graph_with_degrees(&vec![1; n]);
+        for (wf, dense, empty) in [
+            (GenWorkflow::TopDown { frontier_level: 3 }, 3, UNVISITED),
+            (GenWorkflow::Switch { newly_level: 3 }, UNVISITED, 3),
+        ] {
+            let [(st_req, st_tx), (ld_req, ld_tx)] = bin_traffic(&g, wf, dense, empty);
+            assert_eq!(st_req, (n / WARP_SIZE as usize) as u64, "{wf:?}: one store per warp step");
+            assert_eq!(st_tx, st_req, "{wf:?}: scan bin stores must coalesce");
+            assert_eq!(ld_req, st_req, "{wf:?}: the copy pass loads what the scan stored");
+            assert_eq!(ld_tx, ld_req, "{wf:?}: copy_bins bin loads must coalesce");
+        }
     }
 
     #[test]

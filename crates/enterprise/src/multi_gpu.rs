@@ -141,7 +141,9 @@ pub struct MultiBfsResult {
     pub depth: u32,
     /// Level at which the direction switched, if it did.
     pub switched_at: Option<u32>,
-    /// Interconnect bytes moved during the search.
+    /// Interconnect bytes moved during the search: frontier exchanges,
+    /// reroutes, and the partition slices that rebalances and eviction
+    /// splices migrate.
     pub communication_bytes: u64,
     /// Per-level global trace.
     pub level_trace: Vec<LevelRecord>,
@@ -1730,16 +1732,17 @@ impl MultiGpuEnterprise {
 
         // Interconnect charge: only the vertices that change owners move,
         // priced as compacted CSR deltas (adjacency plus narrow offsets).
-        let mut moved = 0u64;
+        // Each gained range is split by its previous owner, so every
+        // piece names the two links it crosses.
+        let mut moves = Vec::new();
         for (&(d, _), new_range) in order.iter().zip(&slices) {
-            let old = &self.parts[d].owned;
-            if new_range.start < old.start {
-                let gained = new_range.start..old.start.min(new_range.end);
-                moved += repartition::delta_words(&self.csr, &gained);
-            }
-            if new_range.end > old.end {
-                let gained = old.end.max(new_range.start)..new_range.end;
-                moved += repartition::delta_words(&self.csr, &gained);
+            for &(from, _) in order.iter().filter(|&&(from, _)| from != d) {
+                let old = &self.parts[from].owned;
+                let gained = new_range.start.max(old.start)..new_range.end.min(old.end);
+                if !gained.is_empty() {
+                    let words = repartition::delta_words(&self.csr, &gained);
+                    moves.push(repartition::SliceMove { from, to: d, words });
+                }
             }
         }
 
@@ -1801,8 +1804,13 @@ impl MultiGpuEnterprise {
         if moved_any {
             self.fleet_epoch += 1;
         }
-        let span_ms = repartition::repartition_cost_ms(&self.config.interconnect, moved, n);
+        // The moves run concurrently and each link serializes only its
+        // own traffic, so the busiest link sets the span; every moved
+        // word still counts as wire traffic.
+        let span_ms = repartition::migration_cost_ms(&self.config.interconnect, &moves, n);
         self.multi.advance_all(span_ms);
+        let words = moves.iter().map(|m| m.words).sum();
+        self.multi.count_transfer(repartition::migration_bytes(words, n));
         recovery.rebalance_ms += span_ms;
         Ok(())
     }
@@ -1928,12 +1936,11 @@ impl MultiGpuEnterprise {
         // Charge the simulated cost of moving the lost slice's CSR view
         // to the recipient (plus one status bitmap) to every survivor.
         let lost_view = repartition::build_1d(&self.csr, &lost_range);
-        let span_ms = repartition::repartition_cost_ms(
-            &self.config.interconnect,
-            lost_view.moved_words(),
-            self.vertex_count,
-        );
+        let moved = lost_view.moved_words();
+        let span_ms =
+            repartition::repartition_cost_ms(&self.config.interconnect, moved, self.vertex_count);
         self.multi.advance_all(span_ms);
+        self.multi.count_transfer(repartition::migration_bytes(moved, self.vertex_count));
         recovery.repartition_ms += span_ms;
 
         let view = repartition::build_1d(&self.csr, &merged);

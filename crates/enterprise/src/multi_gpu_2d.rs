@@ -1165,16 +1165,15 @@ impl MultiGpu2DEnterprise {
             .sum()
     }
 
-    /// Charges the simulated repartition traffic to every surviving
-    /// timeline.
-    fn charge_repartition(&mut self, moved_words: u64, recovery: &mut RecoveryReport) {
-        let span_ms = repartition::repartition_cost_ms(
-            &self.config.interconnect,
-            moved_words,
-            self.vertex_count,
-        );
+    /// Advances every surviving timeline by the serialized cost of
+    /// moving `moved_words`, counts the bytes as interconnect traffic,
+    /// and returns the span.
+    fn charge_migration(&mut self, moved_words: u64) -> f64 {
+        let n = self.vertex_count;
+        let span_ms = repartition::repartition_cost_ms(&self.config.interconnect, moved_words, n);
         self.multi.advance_all(span_ms);
-        recovery.repartition_ms += span_ms;
+        self.multi.count_transfer(repartition::migration_bytes(moved_words, n));
+        span_ms
     }
 
     /// Per-device kernel-execution clocks (indexed by device id). The
@@ -1230,11 +1229,11 @@ impl MultiGpu2DEnterprise {
 
         let views: Vec<repartition::PartitionArrays> =
             slices.iter().map(|s| repartition::build_1d(&self.csr, s)).collect();
+        // Serialized, not per-link: every device receives a whole new
+        // view gathered from the old block owners, so one charge covers
+        // the fleet-wide volume.
         let moved: u64 = views.iter().map(|v| v.moved_words()).sum();
-        let span_ms =
-            repartition::repartition_cost_ms(&self.config.interconnect, moved, n);
-        self.multi.advance_all(span_ms);
-        recovery.rebalance_ms += span_ms;
+        recovery.rebalance_ms += self.charge_migration(moved);
 
         // splice_device retires the old parts so *eviction* splices can
         // be undone at the next run start (device loss is per-run). A
@@ -1313,7 +1312,7 @@ impl MultiGpu2DEnterprise {
             let rows = lost_rows.clone();
             let cols = repartition::union_range(&self.parts[rcv].col, &lost_cols);
             let moved = repartition::build_2d(&self.csr, &lost_rows, &lost_cols).moved_words();
-            self.charge_repartition(moved, recovery);
+            recovery.repartition_ms += self.charge_migration(moved);
             let view = repartition::build_2d(&self.csr, &rows, &cols);
             let status = ckpt.devices[rcv].status.clone();
             let mut parent = ckpt.devices[rcv].parent.clone();
@@ -1323,7 +1322,7 @@ impl MultiGpu2DEnterprise {
             let rows = repartition::union_range(&self.parts[rcv].state.bu_range, &lost_rows);
             let cols = lost_cols.clone();
             let moved = repartition::build_2d(&self.csr, &lost_rows, &lost_cols).moved_words();
-            self.charge_repartition(moved, recovery);
+            recovery.repartition_ms += self.charge_migration(moved);
             let view = repartition::build_2d(&self.csr, &rows, &cols);
             let status = ckpt.devices[rcv].status.clone();
             let mut parent = ckpt.devices[rcv].parent.clone();
@@ -1344,7 +1343,7 @@ impl MultiGpu2DEnterprise {
                 })
                 .collect();
             let moved: u64 = views.iter().map(|(_, _, v)| v.moved_words()).sum();
-            self.charge_repartition(moved, recovery);
+            recovery.repartition_ms += self.charge_migration(moved);
             for (k, (d, slice, view)) in views.iter().enumerate() {
                 let status = ckpt.devices[*d].status.clone();
                 let mut parent = ckpt.devices[*d].parent.clone();

@@ -182,6 +182,12 @@ pub(crate) fn merge_parents(dst: &mut [u32], src: &[u32]) {
     }
 }
 
+/// Interconnect bytes one repartition puts on the wire: `moved_words`
+/// of CSR plus one compressed status bitmap.
+pub(crate) fn migration_bytes(moved_words: u64, vertex_count: usize) -> u64 {
+    4 * moved_words + ballot_compressed_bytes(vertex_count)
+}
+
 /// Simulated cost of one repartition: the interconnect moves the lost
 /// slice's CSR view to the recipient plus one status bitmap, paying one
 /// transfer latency. Charged to every surviving timeline.
@@ -191,8 +197,44 @@ pub(crate) fn repartition_cost_ms(
     vertex_count: usize,
 ) -> f64 {
     let bw_bytes_per_ms = interconnect.bandwidth_gbs * 1e9 / 1e3;
-    let bytes = 4 * moved_words + ballot_compressed_bytes(vertex_count);
+    let bytes = migration_bytes(moved_words, vertex_count);
     interconnect.latency_us / 1e3 + bytes as f64 / bw_bytes_per_ms
+}
+
+/// One piece of a boundary shift: `words` of CSR delta leave device
+/// `from`'s link and arrive on device `to`'s.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SliceMove {
+    pub(crate) from: usize,
+    pub(crate) to: usize,
+    pub(crate) words: u64,
+}
+
+/// Words on the busiest link direction of a set of concurrent moves.
+/// Each device's link is full duplex and serializes only its own
+/// traffic — the rule [`gpu_sim::MultiDevice::exchange`] applies to the
+/// frontier broadcast — so inbound and outbound words are summed per
+/// device and the largest of those sums bounds the transfer.
+pub(crate) fn busiest_link_words(moves: &[SliceMove]) -> u64 {
+    let devices = moves.iter().map(|m| m.from.max(m.to) + 1).max().unwrap_or(0);
+    let (mut inbound, mut outbound) = (vec![0u64; devices], vec![0u64; devices]);
+    for m in moves {
+        outbound[m.from] += m.words;
+        inbound[m.to] += m.words;
+    }
+    inbound.into_iter().chain(outbound).max().unwrap_or(0)
+}
+
+/// Simulated cost of a multi-link boundary shift: the
+/// [`repartition_cost_ms`] of the busiest link's words. A move with a
+/// single sender and receiver costs exactly what the serialized formula
+/// charges for it.
+pub(crate) fn migration_cost_ms(
+    interconnect: &InterconnectConfig,
+    moves: &[SliceMove],
+    vertex_count: usize,
+) -> f64 {
+    repartition_cost_ms(interconnect, busiest_link_words(moves), vertex_count)
 }
 
 /// Degree-aware variant of [`crate::rebalance::weighted_slices`]: splits
@@ -372,6 +414,51 @@ mod tests {
         let small = repartition_cost_ms(&ic, 1_000, 1 << 10);
         let large = repartition_cost_ms(&ic, 1_000_000, 1 << 10);
         assert!(small > 0.0 && large > small);
+    }
+
+    fn mv(from: usize, to: usize, words: u64) -> SliceMove {
+        SliceMove { from, to, words }
+    }
+
+    #[test]
+    fn single_receiver_move_charges_the_serialized_formula() {
+        let ic = InterconnectConfig::default();
+        let n = 1 << 14;
+        for words in [0u64, 17, 40_000, 3_000_000] {
+            assert_eq!(
+                migration_cost_ms(&ic, &[mv(2, 0, words)], n),
+                repartition_cost_ms(&ic, words, n),
+                "{words} words"
+            );
+        }
+    }
+
+    #[test]
+    fn disjoint_links_charge_the_busiest_not_the_sum() {
+        let ic = InterconnectConfig::default();
+        let n = 1 << 14;
+        let moves = [mv(0, 1, 30_000), mv(2, 3, 50_000)];
+        assert_eq!(busiest_link_words(&moves), 50_000);
+        let charged = migration_cost_ms(&ic, &moves, n);
+        assert_eq!(charged, repartition_cost_ms(&ic, 50_000, n));
+        assert!(charged < repartition_cost_ms(&ic, 80_000, n));
+    }
+
+    #[test]
+    fn a_device_that_sends_and_receives_pays_its_larger_direction() {
+        // Device 1 receives 3k + 4k words and sends 5k: its inbound
+        // direction (7k) is the busiest link, not the 12k it handles in
+        // total and not its 5k outbound.
+        let moves = [mv(0, 1, 3_000), mv(2, 1, 4_000), mv(1, 3, 5_000)];
+        assert_eq!(busiest_link_words(&moves), 7_000);
+        // Flip the balance: outbound now dominates.
+        let moves = [mv(0, 1, 3_000), mv(1, 2, 6_000), mv(1, 3, 5_000)];
+        assert_eq!(busiest_link_words(&moves), 11_000);
+        let ic = InterconnectConfig::default();
+        assert_eq!(
+            migration_cost_ms(&ic, &moves, 1 << 10),
+            repartition_cost_ms(&ic, 11_000, 1 << 10)
+        );
     }
 
     #[test]

@@ -20,8 +20,10 @@ pub struct BfsState {
     pub queues: [BufferId; 4],
     /// Host copy of the queue sizes after the last generation pass.
     pub queue_sizes: [usize; 4],
-    /// Per-thread bins: class `k`'s region is `bins[k*n ..]`, thread `t`
-    /// owns `chunk` slots inside each region.
+    /// Per-thread bins: class `k`'s region starts at `k * T * chunk`
+    /// (`T` the filling kernel's grid), and inside it thread `tid`'s
+    /// `cnt`-th entry sits at `cnt * T + tid` — transposed, so a warp's
+    /// bin accesses coalesce.
     pub bins: BufferId,
     /// Per-thread counters laid out as `counts[k*T + t]` for the four
     /// classes, then `counts[4T + t]` for hub-frontier counts; length

@@ -178,6 +178,17 @@ fn rebalance_recovers_half_the_lost_teps_under_a_4x_straggler() {
         assert!(off.recovery.faults.straggler_slow_us > 0);
         assert_eq!(off.recovery.rebalances, 0);
 
+        // A boundary move ships CSR slices, and those bytes count as
+        // interconnect traffic alongside the frontier exchange.
+        if on.recovery.rebalances > 0 {
+            assert!(
+                on.communication_bytes > off.communication_bytes,
+                "rebalanced run from {source} reports {} bytes, unmitigated twin {}",
+                on.communication_bytes,
+                off.communication_bytes
+            );
+        }
+
         clean_ms += clean.time_ms;
         off_ms += off.time_ms;
         on_ms += on.time_ms;

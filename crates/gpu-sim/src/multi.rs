@@ -603,6 +603,14 @@ impl MultiDevice {
         self.transferred_bytes
     }
 
+    /// Counts `bytes` of traffic whose wire time the caller charges on
+    /// its own clock (a repartition's migrated partition slices): the
+    /// byte total grows, no timeline moves and no link degradation
+    /// applies.
+    pub fn count_transfer(&mut self, bytes: u64) {
+        self.transferred_bytes += bytes;
+    }
+
     /// Resets all device timelines, counters, and transfer accounting.
     pub fn reset_stats(&mut self) {
         for d in &mut self.devices {
