@@ -10,7 +10,7 @@ use crate::device_graph::DeviceGraph;
 use crate::direction::{DirectionPolicy, SwitchDecision, SwitchSignals};
 use crate::error::{BfsError, RecoveryPolicy, RecoveryReport};
 use crate::frontier::{
-    enqueue_seed, try_generate_queues, try_measure_total_hubs, GenWorkflow, QueueGenResult,
+    enqueue_seed, try_generate_queues, try_measure_total_hubs, GenWorkflow,
 };
 use crate::kernels::{try_expand_level, Direction};
 use crate::persist::{
@@ -217,17 +217,11 @@ pub struct Enterprise {
 /// and scoped fault universe, co-scheduled with sibling lanes on the
 /// shared device (DESIGN.md §5j).
 pub struct SingleLane {
-    source: VertexId,
     slot: usize,
     /// The lane's working state; `None` transiently while swapped onto
     /// the driver during a slice, and after parking back in the pool.
     state: Option<BfsState>,
-    vars: LoopVars,
-    trace: Vec<LevelRecord>,
-    recovery: RecoveryReport,
-    level: u32,
-    level_cap: u32,
-    stall: Option<StallDetector>,
+    walk: Walk<LoopVars>,
     /// The lane's fault universe, parked here between slices so sibling
     /// lanes never draw from it.
     bundle: FaultBundle,
@@ -237,6 +231,64 @@ pub struct SingleLane {
     /// The lane's stream position: simulated time its slices have
     /// charged since admission.
     clock_ms: f64,
+}
+
+/// One traversal in flight: its root, host loop variables, level trace,
+/// recovery counters, level counter and stall detector. Every driver's
+/// sequential run and pipeline lanes advance a walk one level per step
+/// (DESIGN.md §5j); the two kinds differ only in the capabilities the
+/// constructor records.
+pub(crate) struct Walk<V> {
+    pub(crate) source: VertexId,
+    pub(crate) vars: V,
+    pub(crate) trace: Vec<LevelRecord>,
+    pub(crate) recovery: RecoveryReport,
+    pub(crate) level: u32,
+    pub(crate) level_cap: u32,
+    pub(crate) stall: Option<StallDetector>,
+    /// Publishes durable mid-traversal checkpoints on the configured
+    /// cadence. Sequential walks only: a pipelined lane's resume
+    /// granularity is the batch ledger.
+    pub(crate) durable: bool,
+    /// Reshapes the fleet on a device loss, link isolation or straggler
+    /// verdict (splice, migration, rebalance). Sequential walks only: a
+    /// reshape would move sibling lanes' state, so a lane surfaces the
+    /// trigger as an error and the batch plane de-pipelines the source.
+    pub(crate) reshapes: bool,
+}
+
+impl<V> Walk<V> {
+    /// Opens a walk from `source`, refusing a root outside the graph's
+    /// `vertices` before any device work. A `lane` walk gets neither
+    /// durable checkpoints nor reshapes; a sequential walk gets both.
+    /// The recovery report starts from the instance's warm-restart flag
+    /// and takes over its pending setup-time persistence errors.
+    pub(crate) fn open(
+        source: VertexId,
+        vertices: usize,
+        lane: bool,
+        watchdog: &WatchdogPolicy,
+        warm_restart: bool,
+        persist_errors: &mut Vec<PersistError>,
+        vars: impl FnOnce() -> V,
+    ) -> Result<Self, BfsError> {
+        if source as usize >= vertices {
+            return Err(BfsError::SourceOutOfRange { source, vertices });
+        }
+        let mut recovery = RecoveryReport { warm_restart, ..RecoveryReport::default() };
+        recovery.snapshot_errors.append(persist_errors);
+        Ok(Walk {
+            source,
+            vars: vars(),
+            trace: Vec::new(),
+            recovery,
+            level: 0,
+            level_cap: watchdog.level_cap(vertices),
+            stall: StallDetector::new(watchdog.stall_levels),
+            durable: !lane,
+            reshapes: !lane,
+        })
+    }
 }
 
 /// What the end-of-level verifier concluded about the completed level.
@@ -388,7 +440,7 @@ impl crate::batch::BatchHost for Enterprise {
         let t0 = self.device.elapsed_ms();
         let mut parked = lane.state.take().expect("lane state present");
         std::mem::swap(&mut self.state, &mut parked);
-        let out = self.lane_level(lane);
+        let out = self.step_level(&mut lane.walk);
         std::mem::swap(&mut self.state, &mut parked);
         lane.state = Some(parked);
         self.take_slice_records(lane, t0);
@@ -399,16 +451,12 @@ impl crate::batch::BatchHost for Enterprise {
     fn lane_finish(&mut self, mut lane: SingleLane, time_ms: f64) -> Result<BfsResult, BfsError> {
         // The lane's fault counters live in its parked plan; the device
         // plan belongs to whoever ran last.
-        lane.recovery.faults = lane.bundle.stats();
+        lane.walk.recovery.faults = lane.bundle.stats();
+        let source = lane.walk.source;
         let mut parked = lane.state.take().expect("lane state present");
         std::mem::swap(&mut self.state, &mut parked);
-        self.persist_finish(&mut lane.recovery);
-        let mut result = self.collect_result(
-            lane.source,
-            lane.vars.switched_at,
-            std::mem::take(&mut lane.trace),
-            lane.recovery.clone(),
-        );
+        self.persist_finish(&mut lane.walk.recovery);
+        let mut result = self.collect_result(lane.walk);
         std::mem::swap(&mut self.state, &mut parked);
         self.park_lane_state(lane.slot, parked);
         // The run's time is its lane stream's serial charge, not the
@@ -426,7 +474,7 @@ impl crate::batch::BatchHost for Enterprise {
             // A dirty audit demotes the source to the de-pipelined
             // ladder (the sequential engine's full replay) instead of
             // replaying inside the lane.
-            if let Err(e) = audit(csr, lane.source, &result.levels, &result.parents) {
+            if let Err(e) = audit(csr, source, &result.levels, &result.parents) {
                 return Err(BfsError::ValidationFailedAfterReplay(e));
             }
         }
@@ -568,6 +616,10 @@ impl Enterprise {
     /// search exhausts its recovery budget, the traversal falls back to
     /// the host CPU baseline and the result records the fallback in
     /// [`RecoveryReport::cpu_fallback`].
+    ///
+    /// # Panics
+    /// Panics if `source` is not a vertex of `csr`: the CPU baseline has
+    /// no typed error to degrade to.
     pub fn run_resilient(config: EnterpriseConfig, csr: &Csr, source: VertexId) -> BfsResult {
         match Self::try_new(config.clone(), csr) {
             Ok(mut e) => match e.try_bfs(source) {
@@ -679,163 +731,169 @@ impl Enterprise {
     /// [`Enterprise::try_bfs`], which may invoke it twice when the audit
     /// demands a full replay.
     fn try_bfs_once(&mut self, source: VertexId) -> Result<BfsResult, BfsError> {
-        let n = self.graph.vertex_count;
-        assert!((source as usize) < n, "source {source} out of range ({n} vertices)");
-
+        let mut walk = self.open_walk(source, false)?;
         // Device loss is per-run in the simulator: revive the device so a
         // replay after a loss has hardware to run on.
         self.device.revive();
-        self.state.reset(&mut self.device);
         self.device.reset_stats();
-
-        // Seed: status[source] = 0, parent[source] = source, queue = {source}.
-        enqueue_seed(&mut self.device, &mut self.state, source, self.out_degrees[source as usize]);
-
-        let mut vars = LoopVars {
-            dir: Direction::TopDown,
-            switched_at: None,
-            // Probing an empty cache is pure overhead; expansion enables
-            // the cache only when the last generation staged at least one
-            // hub.
-            cache_filled: false,
-            // Running sum of out-degrees of visited vertices, for α.
-            visited_edge_sum: self.out_degrees[source as usize] as u64,
-            bu_queue_edge_sum: 0,
-            prev_frontier_edges: 0,
-        };
-        let mut trace: Vec<LevelRecord> = Vec::new();
-        let mut recovery =
-            RecoveryReport { warm_restart: self.warm_restart, ..RecoveryReport::default() };
-        recovery.snapshot_errors.append(&mut self.persist_errors);
+        seed(&mut self.device, &mut self.state, source, self.out_degrees[source as usize]);
         // Warm restart from a durable mid-traversal checkpoint: overwrite
         // the freshly seeded state with the persisted level boundary and
         // continue from there. Any snapshot defect degrades to the cold
         // start already seeded above.
-        let mut level: u32 = self.try_resume(source, &mut vars, &mut recovery).unwrap_or(0);
-        let level_cap = self.config.watchdog.level_cap(n);
-        let mut stall = StallDetector::new(self.config.watchdog.stall_levels);
+        walk.level = self.try_resume(&mut walk).unwrap_or(0);
+        while !self.step_level(&mut walk)? {}
+        walk.recovery.faults = self.device.fault_stats();
+        self.persist_finish(&mut walk.recovery);
+        Ok(self.collect_result(walk))
+    }
 
-        loop {
-            // Structural liveness bound (previously an assert): a
-            // level-synchronous BFS can run at most n+1 levels, so a
-            // counter past the cap means the frontier never drained.
-            if level > level_cap {
-                return Err(BfsError::Hang {
-                    level,
-                    frontier: self.state.total_frontier(),
-                    stalled_levels: 0,
-                });
-            }
-            let ckpt = self.checkpoint(&vars, trace.len());
-            self.maybe_persist_checkpoint(source, level, &ckpt, &mut recovery);
-            let mut attempts: u32 = 0;
-            let done = loop {
-                let t_level = self.device.elapsed_ms();
-                match self.level_pass(level, &mut vars, &mut trace) {
-                    Ok(done) => {
-                        // Level deadline: an overrun is replayed like a
-                        // kernel fault (the budget covers transient
-                        // slowness, e.g. injected relaunch storms), then
-                        // surfaces as a typed deadline error.
-                        if let Some(budget_ms) = self.config.watchdog.level_deadline_ms {
-                            let elapsed_ms = self.device.elapsed_ms() - t_level;
-                            if elapsed_ms > budget_ms {
+    /// Opens a walk from `source` with the initial loop variables every
+    /// traversal starts from (sequential run or pipeline `lane`).
+    fn open_walk(&mut self, source: VertexId, lane: bool) -> Result<Walk<LoopVars>, BfsError> {
+        let degrees = &self.out_degrees;
+        Walk::open(
+            source,
+            self.graph.vertex_count,
+            lane,
+            &self.config.watchdog,
+            self.warm_restart,
+            &mut self.persist_errors,
+            || LoopVars {
+                dir: Direction::TopDown,
+                switched_at: None,
+                // Probing an empty cache is pure overhead; expansion
+                // enables the cache only when the last generation staged
+                // at least one hub.
+                cache_filled: false,
+                // Running sum of out-degrees of visited vertices, for α.
+                visited_edge_sum: degrees[source as usize] as u64,
+                bu_queue_edge_sum: 0,
+                prev_frontier_edges: 0,
+            },
+        )
+    }
+
+    /// Advances `walk` one BFS level on the resident state: checkpoint
+    /// (published durably on a durable walk's cadence), expansion and
+    /// queue generation under the attempt/replay ladder, then the
+    /// post-level bookkeeping. Returns `Ok(true)` when the frontier
+    /// drained. A sequential run loops over this; a pipeline lane calls
+    /// it once per slice with its own state swapped in.
+    fn step_level(&mut self, walk: &mut Walk<LoopVars>) -> Result<bool, BfsError> {
+        let level = walk.level;
+        // Structural liveness bound: a level-synchronous BFS can run at
+        // most n+1 levels, so a counter past the cap means the frontier
+        // never drained.
+        if level > walk.level_cap {
+            let frontier = self.state.total_frontier();
+            return Err(BfsError::Hang { level, frontier, stalled_levels: 0 });
+        }
+        let ckpt = self.checkpoint(walk);
+        if walk.durable {
+            self.maybe_persist_checkpoint(walk, &ckpt);
+        }
+        let mut attempts: u32 = 0;
+        let done = loop {
+            let t_level = self.device.elapsed_ms();
+            match self.level_pass(level, &mut walk.vars, &mut walk.trace) {
+                Ok(done) => {
+                    // Level deadline: an overrun is replayed like a
+                    // kernel fault (the budget covers transient slowness,
+                    // e.g. injected relaunch storms), then surfaces as a
+                    // typed deadline error.
+                    if let Some(budget_ms) = self.config.watchdog.level_deadline_ms {
+                        let elapsed_ms = self.device.elapsed_ms() - t_level;
+                        if elapsed_ms > budget_ms {
+                            attempts += 1;
+                            if attempts > self.config.recovery.max_level_retries {
+                                return Err(BfsError::Deadline {
+                                    level,
+                                    attempts,
+                                    elapsed_ms,
+                                    budget_ms,
+                                });
+                            }
+                            walk.recovery.levels_replayed += 1;
+                            self.restore(&ckpt, walk);
+                            continue;
+                        }
+                    }
+                    // End-of-level SDC gate: check invariants on the
+                    // settled arrays, heal in place from the verified
+                    // checkpoint if possible, replay the level if not.
+                    if self.config.verify.end_of_level {
+                        match self.verify_level(&ckpt, walk) {
+                            LevelVerdict::Clean => {}
+                            LevelVerdict::Repaired { done } => break done,
+                            LevelVerdict::Corrupt(err) => {
                                 attempts += 1;
                                 if attempts > self.config.recovery.max_level_retries {
-                                    return Err(BfsError::Deadline {
-                                        level,
-                                        attempts,
-                                        elapsed_ms,
-                                        budget_ms,
-                                    });
+                                    return Err(BfsError::ValidationFailedAfterReplay(err));
                                 }
-                                recovery.levels_replayed += 1;
-                                self.restore(&ckpt, &mut vars, &mut trace);
+                                walk.recovery.levels_replayed += 1;
+                                self.restore(&ckpt, walk);
                                 continue;
                             }
                         }
-                        // End-of-level SDC gate: check invariants on the
-                        // settled arrays, heal in place from the verified
-                        // checkpoint if possible, replay the level if not.
-                        if self.config.verify.end_of_level {
-                            match self.verify_level(source, level, &ckpt, vars.dir, &mut recovery)
-                            {
-                                LevelVerdict::Clean => {}
-                                LevelVerdict::Repaired { done } => break done,
-                                LevelVerdict::Corrupt(err) => {
-                                    attempts += 1;
-                                    if attempts > self.config.recovery.max_level_retries {
-                                        return Err(BfsError::ValidationFailedAfterReplay(err));
-                                    }
-                                    recovery.levels_replayed += 1;
-                                    self.restore(&ckpt, &mut vars, &mut trace);
-                                    continue;
-                                }
-                            }
-                        }
-                        break done;
                     }
-                    Err(e) => {
-                        // Permanent device loss is terminal on a single
-                        // GPU — there is nothing to replay onto. (A
-                        // kernel-deadline overrun on a lost device is the
-                        // same loss seen through the watchdog.)
-                        if matches!(e, DeviceError::DeviceLost { .. }) || self.device.is_lost() {
-                            return Err(BfsError::Device(e));
-                        }
-                        attempts += 1;
-                        if attempts > self.config.recovery.max_level_retries {
-                            return Err(BfsError::LevelRetriesExhausted {
-                                level,
-                                attempts,
-                                last: e,
-                            });
-                        }
-                        recovery.levels_replayed += 1;
-                        self.restore(&ckpt, &mut vars, &mut trace);
+                    break done;
+                }
+                Err(e) => {
+                    // Permanent device loss is terminal on a single GPU —
+                    // there is nothing to replay onto (a lane's batch
+                    // plane de-pipelines the source, whose ladder replay
+                    // revives the device). A kernel-deadline overrun on a
+                    // lost device is the same loss seen through the
+                    // watchdog.
+                    if matches!(e, DeviceError::DeviceLost { .. }) || self.device.is_lost() {
+                        return Err(BfsError::Device(e));
                     }
-                }
-            };
-            if done {
-                break;
-            }
-            // Injected livelock (fault plane): roll the completed level
-            // back to its checkpoint but keep advancing the level
-            // counter, so the frontier reproduces forever — exactly the
-            // failure mode the stall detector and level cap exist for.
-            if self.device.should_inject_livelock() {
-                self.restore(&ckpt, &mut vars, &mut trace);
-            }
-            if let Some(det) = stall.as_mut() {
-                let frontier = self.state.total_frontier();
-                let visited = self
-                    .device
-                    .mem_ref()
-                    .view(self.state.status)
-                    .iter()
-                    .filter(|&&s| s != UNVISITED)
-                    .count();
-                if let Some(stalled) = det.observe(visited, frontier) {
-                    return Err(BfsError::Hang { level, frontier, stalled_levels: stalled });
+                    attempts += 1;
+                    if attempts > self.config.recovery.max_level_retries {
+                        return Err(BfsError::LevelRetriesExhausted { level, attempts, last: e });
+                    }
+                    walk.recovery.levels_replayed += 1;
+                    self.restore(&ckpt, walk);
                 }
             }
-            // Background scrubbing: clear latent single-bit ECC errors on
-            // cadence, before a second upset in the same word makes one
-            // uncorrectable. No-op (zero time) with ECC off.
-            if let Some(every) = self.config.scrub_levels {
-                if every > 0 && (level + 1) % every == 0 {
-                    self.device.scrub();
-                }
-            }
-            // Throttle-onset clock: one more level finished (drives
-            // `FaultSpec::throttle_onset_levels`).
-            self.device.note_level_end();
-            level += 1;
+        };
+        if done {
+            return Ok(true);
         }
-
-        recovery.faults = self.device.fault_stats();
-        self.persist_finish(&mut recovery);
-        Ok(self.collect_result(source, vars.switched_at, trace, recovery))
+        // Injected livelock (fault plane): roll the completed level back
+        // to its checkpoint but keep advancing the level counter, so the
+        // frontier reproduces forever — exactly the failure mode the
+        // stall detector and level cap exist for.
+        if self.device.should_inject_livelock() {
+            self.restore(&ckpt, walk);
+        }
+        if let Some(det) = walk.stall.as_mut() {
+            let frontier = self.state.total_frontier();
+            let visited = self
+                .device
+                .mem_ref()
+                .view(self.state.status)
+                .iter()
+                .filter(|&&s| s != UNVISITED)
+                .count();
+            if let Some(stalled) = det.observe(visited, frontier) {
+                return Err(BfsError::Hang { level, frontier, stalled_levels: stalled });
+            }
+        }
+        // Background scrubbing: clear latent single-bit ECC errors on
+        // cadence, before a second upset in the same word makes one
+        // uncorrectable. No-op (zero time) with ECC off.
+        if let Some(every) = self.config.scrub_levels {
+            if every > 0 && (level + 1) % every == 0 {
+                self.device.scrub();
+            }
+        }
+        // Throttle-onset clock: one more level finished (drives
+        // `FaultSpec::throttle_onset_levels`).
+        self.device.note_level_end();
+        walk.level += 1;
+        Ok(false)
     }
 
     /// Moves the kernels a lane slice launched (since `slice_start_ms`
@@ -853,7 +911,7 @@ impl Enterprise {
     }
 
     /// Returns a lane's working state to its per-slot pool. The simulator
-    /// never frees device memory, so pooling (rather than dropping) keeps
+    /// never frees device buffers, so pooling (rather than dropping) keeps
     /// a long batch's footprint bounded at `width` extra states instead of
     /// leaking one allocation set per source.
     fn park_lane_state(&mut self, slot: usize, state: BfsState) {
@@ -864,20 +922,17 @@ impl Enterprise {
     }
 
     /// Seeds a pipeline lane in `slot` for a traversal from `source`:
-    /// takes (or allocates) the slot's pooled state, resets it, enqueues
-    /// the seed, and initializes the loop variables exactly as
-    /// [`Enterprise::try_bfs_once`] would. The lane skips durable
-    /// mid-traversal checkpoints and checkpoint resume — the batch
-    /// ledger is the resume granularity for pipelined runs.
+    /// takes (or allocates) the slot's pooled state and seeds it exactly
+    /// as a sequential run seeds the resident state.
     fn lane_open_inner(&mut self, source: VertexId, slot: usize) -> Result<SingleLane, BfsError> {
-        let n = self.graph.vertex_count;
-        assert!((source as usize) < n, "source {source} out of range ({n} vertices)");
+        let walk = self.open_walk(source, true)?;
         // Device loss is per-run in the simulator; a fresh lane gets
         // hardware to run on, like a sequential run's revive.
         self.device.revive();
         if self.lane_pool.len() <= slot {
             self.lane_pool.resize_with(slot + 1, || None);
         }
+        let n = self.graph.vertex_count;
         let mut state = match self.lane_pool[slot].take() {
             Some(st) => st,
             None => BfsState::try_new_labeled(
@@ -895,157 +950,24 @@ impl Enterprise {
         // The hub census is a graph property measured once at setup;
         // every lane shares it (γ's denominator).
         state.total_hubs = self.state.total_hubs;
-        state.reset(&mut self.device);
-        enqueue_seed(&mut self.device, &mut state, source, self.out_degrees[source as usize]);
-        let vars = LoopVars {
-            dir: Direction::TopDown,
-            switched_at: None,
-            cache_filled: false,
-            visited_edge_sum: self.out_degrees[source as usize] as u64,
-            bu_queue_edge_sum: 0,
-            prev_frontier_edges: 0,
-        };
-        let mut recovery =
-            RecoveryReport { warm_restart: self.warm_restart, ..RecoveryReport::default() };
-        recovery.snapshot_errors.append(&mut self.persist_errors);
+        seed(&mut self.device, &mut state, source, self.out_degrees[source as usize]);
         Ok(SingleLane {
-            source,
             slot,
             state: Some(state),
-            vars,
-            trace: Vec::new(),
-            recovery,
-            level: 0,
-            level_cap: self.config.watchdog.level_cap(n),
-            stall: StallDetector::new(self.config.watchdog.stall_levels),
+            walk,
             bundle: FaultBundle::default(),
             records: Vec::new(),
             clock_ms: 0.0,
         })
     }
 
-    /// Advances a pipeline lane by one BFS level: the body of the
-    /// [`Enterprise::try_bfs_once`] loop, operating on the lane's
-    /// swapped-in state, minus the durable mid-traversal checkpoint.
-    /// Returns `Ok(true)` when the lane's frontier drained.
-    fn lane_level(&mut self, lane: &mut SingleLane) -> Result<bool, BfsError> {
-        if lane.level > lane.level_cap {
-            return Err(BfsError::Hang {
-                level: lane.level,
-                frontier: self.state.total_frontier(),
-                stalled_levels: 0,
-            });
-        }
-        let ckpt = self.checkpoint(&lane.vars, lane.trace.len());
-        let mut attempts: u32 = 0;
-        let done = loop {
-            let t_level = self.device.elapsed_ms();
-            match self.level_pass(lane.level, &mut lane.vars, &mut lane.trace) {
-                Ok(done) => {
-                    if let Some(budget_ms) = self.config.watchdog.level_deadline_ms {
-                        let elapsed_ms = self.device.elapsed_ms() - t_level;
-                        if elapsed_ms > budget_ms {
-                            attempts += 1;
-                            if attempts > self.config.recovery.max_level_retries {
-                                return Err(BfsError::Deadline {
-                                    level: lane.level,
-                                    attempts,
-                                    elapsed_ms,
-                                    budget_ms,
-                                });
-                            }
-                            lane.recovery.levels_replayed += 1;
-                            self.restore(&ckpt, &mut lane.vars, &mut lane.trace);
-                            continue;
-                        }
-                    }
-                    if self.config.verify.end_of_level {
-                        match self.verify_level(
-                            lane.source,
-                            lane.level,
-                            &ckpt,
-                            lane.vars.dir,
-                            &mut lane.recovery,
-                        ) {
-                            LevelVerdict::Clean => {}
-                            LevelVerdict::Repaired { done } => break done,
-                            LevelVerdict::Corrupt(err) => {
-                                attempts += 1;
-                                if attempts > self.config.recovery.max_level_retries {
-                                    return Err(BfsError::ValidationFailedAfterReplay(err));
-                                }
-                                lane.recovery.levels_replayed += 1;
-                                self.restore(&ckpt, &mut lane.vars, &mut lane.trace);
-                                continue;
-                            }
-                        }
-                    }
-                    break done;
-                }
-                Err(e) => {
-                    // Permanent device loss is terminal on a single GPU;
-                    // the batch plane de-pipelines the source, whose
-                    // ladder replay revives the device.
-                    if matches!(e, DeviceError::DeviceLost { .. }) || self.device.is_lost() {
-                        return Err(BfsError::Device(e));
-                    }
-                    attempts += 1;
-                    if attempts > self.config.recovery.max_level_retries {
-                        return Err(BfsError::LevelRetriesExhausted {
-                            level: lane.level,
-                            attempts,
-                            last: e,
-                        });
-                    }
-                    lane.recovery.levels_replayed += 1;
-                    self.restore(&ckpt, &mut lane.vars, &mut lane.trace);
-                }
-            }
-        };
-        if done {
-            return Ok(true);
-        }
-        if self.device.should_inject_livelock() {
-            self.restore(&ckpt, &mut lane.vars, &mut lane.trace);
-        }
-        if let Some(det) = lane.stall.as_mut() {
-            let frontier = self.state.total_frontier();
-            let visited = self
-                .device
-                .mem_ref()
-                .view(self.state.status)
-                .iter()
-                .filter(|&&s| s != UNVISITED)
-                .count();
-            if let Some(stalled) = det.observe(visited, frontier) {
-                return Err(BfsError::Hang {
-                    level: lane.level,
-                    frontier,
-                    stalled_levels: stalled,
-                });
-            }
-        }
-        if let Some(every) = self.config.scrub_levels {
-            if every > 0 && (lane.level + 1) % every == 0 {
-                self.device.scrub();
-            }
-        }
-        self.device.note_level_end();
-        lane.level += 1;
-        Ok(false)
-    }
-
     /// Attempts to resume from a durable mid-traversal checkpoint. Returns
     /// the level to continue at, or `None` for a cold start (no snapshot,
     /// persistence disabled, or a typed defect recorded in `recovery`).
-    fn try_resume(
-        &mut self,
-        source: VertexId,
-        vars: &mut LoopVars,
-        recovery: &mut RecoveryReport,
-    ) -> Option<u32> {
+    fn try_resume(&mut self, walk: &mut Walk<LoopVars>) -> Option<u32> {
         let fp = *self.fingerprint.as_ref()?;
         let store = self.store.as_mut()?;
+        let recovery = &mut walk.recovery;
         let snap = match load_checkpoint_chain(store, &mut recovery.snapshot_errors) {
             Ok(Some(s)) => s,
             Ok(None) => return None,
@@ -1058,7 +980,7 @@ impl Enterprise {
             recovery.snapshot_errors.push(PersistError::GraphMismatch);
             return None;
         }
-        if snap.source != source {
+        if snap.source != walk.source {
             recovery.snapshot_errors.push(PersistError::SourceMismatch);
             return None;
         }
@@ -1095,7 +1017,7 @@ impl Enterprise {
             self.state.queue_sizes[k] = q.len();
         }
         mem.upload(self.state.hub_src, &dev.hub_src);
-        *vars = LoopVars {
+        walk.vars = LoopVars {
             dir: if snap.dir_bottom_up { Direction::BottomUp } else { Direction::TopDown },
             switched_at: snap.switched_at,
             cache_filled: snap.cache_filled,
@@ -1110,13 +1032,8 @@ impl Enterprise {
     /// Publishes a durable mid-traversal checkpoint at the configured level
     /// cadence. Failures are absorbed (recorded, never fatal): losing a
     /// checkpoint only costs restart progress, not correctness.
-    fn maybe_persist_checkpoint(
-        &mut self,
-        source: VertexId,
-        level: u32,
-        ckpt: &Checkpoint,
-        recovery: &mut RecoveryReport,
-    ) {
+    fn maybe_persist_checkpoint(&mut self, walk: &mut Walk<LoopVars>, ckpt: &Checkpoint) {
+        let level = walk.level;
         let every = match self.config.persist.as_ref().and_then(|p| p.checkpoint_levels) {
             Some(e) => e,
             None => return,
@@ -1131,7 +1048,7 @@ impl Enterprise {
         let snap = CheckpointSnapshot {
             kind: DriverKind::Single,
             fingerprint: *fp,
-            source,
+            source: walk.source,
             level,
             dir_bottom_up: matches!(ckpt.vars.dir, Direction::BottomUp),
             switched_at: ckpt.vars.switched_at,
@@ -1151,8 +1068,8 @@ impl Enterprise {
             lanes: Vec::new(),
         };
         match self.ckpt_writer.persist(store, &snap) {
-            Ok(()) => recovery.snapshots_persisted += 1,
-            Err(e) => recovery.snapshot_errors.push(e),
+            Ok(()) => walk.recovery.snapshots_persisted += 1,
+            Err(e) => walk.recovery.snapshot_errors.push(e),
         }
     }
 
@@ -1213,14 +1130,9 @@ impl Enterprise {
     /// the repartitioner uses after a device loss), and recomputes the
     /// termination decision; an unrepairable state escalates to a level
     /// replay via [`LevelVerdict::Corrupt`].
-    fn verify_level(
-        &mut self,
-        source: VertexId,
-        level: u32,
-        ckpt: &Checkpoint,
-        dir: Direction,
-        recovery: &mut RecoveryReport,
-    ) -> LevelVerdict {
+    fn verify_level(&mut self, ckpt: &Checkpoint, walk: &mut Walk<LoopVars>) -> LevelVerdict {
+        let (source, level, dir) = (walk.source, walk.level, walk.vars.dir);
+        let recovery = &mut walk.recovery;
         let csr =
             self.verify_csr.as_ref().expect("end-of-level verification requires the host CSR");
         let mut status = self.device.mem_ref().view(self.state.status).to_vec();
@@ -1284,7 +1196,7 @@ impl Enterprise {
 
     /// Snapshots the device-resident traversal state and the host loop
     /// variables so the current level can be replayed after a fault.
-    fn checkpoint(&self, vars: &LoopVars, trace_len: usize) -> Checkpoint {
+    fn checkpoint(&self, walk: &Walk<LoopVars>) -> Checkpoint {
         let mem = self.device.mem_ref();
         Checkpoint {
             status: mem.view(self.state.status).to_vec(),
@@ -1296,15 +1208,15 @@ impl Enterprise {
                 mem.view(self.state.queues[3]).to_vec(),
             ],
             queue_sizes: self.state.queue_sizes,
-            vars: vars.clone(),
-            trace_len,
+            vars: walk.vars.clone(),
+            trace_len: walk.trace.len(),
         }
     }
 
     /// Rolls the traversal back to `ckpt`. Elapsed simulated time is NOT
     /// rolled back: faulted work costs wall-clock, exactly like a real
     /// relaunch.
-    fn restore(&mut self, ckpt: &Checkpoint, vars: &mut LoopVars, trace: &mut Vec<LevelRecord>) {
+    fn restore(&mut self, ckpt: &Checkpoint, walk: &mut Walk<LoopVars>) {
         let mem = self.device.mem();
         mem.upload(self.state.status, &ckpt.status);
         mem.upload(self.state.parent, &ckpt.parent);
@@ -1312,8 +1224,8 @@ impl Enterprise {
             mem.upload(*buf, data);
         }
         self.state.queue_sizes = ckpt.queue_sizes;
-        *vars = ckpt.vars.clone();
-        trace.truncate(ckpt.trace_len);
+        walk.vars = ckpt.vars.clone();
+        walk.trace.truncate(ckpt.trace_len);
     }
 
     /// One level of the traversal: expand the current queues, generate
@@ -1376,9 +1288,9 @@ impl Enterprise {
                             hc,
                         )?;
                         vars.bu_queue_edge_sum = self.queue_edge_sum();
-                        (with_signals(r2, signals), newly, Direction::BottomUp)
+                        ((r2, signals), newly, Direction::BottomUp)
                     }
-                    _ => (with_signals(r, signals), newly, Direction::TopDown),
+                    _ => ((r, signals), newly, Direction::TopDown),
                 }
             }
             Direction::BottomUp => {
@@ -1412,9 +1324,9 @@ impl Enterprise {
                             GenWorkflow::TopDown { frontier_level: level + 1 },
                             false,
                         )?;
-                        (with_signals(r2, signals), newly, Direction::TopDown)
+                        ((r2, signals), newly, Direction::TopDown)
                     }
-                    _ => (with_signals(r, signals), newly, Direction::BottomUp),
+                    _ => ((r, signals), newly, Direction::BottomUp),
                 }
             }
         };
@@ -1458,13 +1370,7 @@ impl Enterprise {
         sum
     }
 
-    fn collect_result(
-        &self,
-        source: VertexId,
-        switched_at: Option<u32>,
-        trace: Vec<LevelRecord>,
-        recovery: RecoveryReport,
-    ) -> BfsResult {
+    fn collect_result(&self, walk: Walk<LoopVars>) -> BfsResult {
         let raw_status = self.device.mem_ref().view(self.state.status);
         let raw_parent = self.device.mem_ref().view(self.state.parent);
         let levels = levels_from_raw(raw_status);
@@ -1481,7 +1387,7 @@ impl Enterprise {
         let time_ms = self.device.elapsed_ms();
         let teps = if time_ms > 0.0 { traversed_edges as f64 / (time_ms / 1e3) } else { 0.0 };
         BfsResult {
-            source,
+            source: walk.source,
             levels,
             parents,
             visited,
@@ -1489,18 +1395,20 @@ impl Enterprise {
             time_ms,
             teps,
             depth,
-            switched_at,
-            level_trace: trace,
+            switched_at: walk.vars.switched_at,
+            level_trace: walk.trace,
             records: self.device.records().to_vec(),
             report: self.device.report(),
-            recovery,
+            recovery: walk.recovery,
         }
     }
 }
 
-/// Packs a generation result with its switch signals for the level trace.
-fn with_signals(r: QueueGenResult, s: SwitchSignals) -> (QueueGenResult, SwitchSignals) {
-    (r, s)
+/// Clears `state` and seeds a traversal from `source` on it:
+/// `status[source] = 0`, `parent[source] = source`, queue = {source}.
+fn seed(device: &mut Device, state: &mut BfsState, source: VertexId, out_degree: u32) {
+    state.reset(device);
+    enqueue_seed(device, state, source, out_degree);
 }
 
 /// Host BFS baseline used when the device path is unavailable (graph does

@@ -92,6 +92,15 @@ pub enum BfsError {
         /// Devices lost in total, including the final one.
         lost: u32,
     },
+    /// The requested BFS root does not name a vertex of the bound graph.
+    /// Checked before any device work, so a batch poisons only this
+    /// source and its siblings run unaffected.
+    SourceOutOfRange {
+        /// The requested root.
+        source: u32,
+        /// Vertex count of the bound graph.
+        vertices: usize,
+    },
 }
 
 impl std::fmt::Display for BfsError {
@@ -143,6 +152,9 @@ impl std::fmt::Display for BfsError {
                      permanently lost"
                 )
             }
+            BfsError::SourceOutOfRange { source, vertices } => {
+                write!(f, "source {source} out of range ({vertices} vertices)")
+            }
         }
     }
 }
@@ -156,7 +168,8 @@ impl std::error::Error for BfsError {
             | BfsError::Hang { .. }
             | BfsError::Deadline { .. }
             | BfsError::LinkIsolated { .. }
-            | BfsError::AllDevicesLost { .. } => None,
+            | BfsError::AllDevicesLost { .. }
+            | BfsError::SourceOutOfRange { .. } => None,
         }
     }
 }

@@ -37,6 +37,7 @@ pub mod classify;
 pub mod device_graph;
 pub mod direction;
 pub mod error;
+mod fleet;
 pub mod frontier;
 pub mod kernels;
 pub mod multi_gpu;

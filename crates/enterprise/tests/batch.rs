@@ -142,6 +142,64 @@ fn poisoned_source_quarantine_leaves_siblings_oracle_correct() {
     panic!("no seed in 0..40 produced a mixed poisoned/completed batch");
 }
 
+/// An out-of-range root is a typed error, never a panic: `try_bfs`
+/// refuses it with `BfsError::SourceOutOfRange` on all three drivers,
+/// and a batch poisons exactly those sources while every sibling stays
+/// oracle-correct — on the sequential plane and under `Overlap(4)`
+/// lanes.
+#[test]
+fn out_of_range_source_is_poisoned_and_siblings_stay_correct() {
+    let g = kronecker(9, 8, 5);
+    let n = g.vertex_count();
+    let bad = [n as u32, n as u32 + 7];
+    let sources: Vec<BatchSource> =
+        [3, bad[0], 17, 101, bad[1], 255].iter().map(|&s| BatchSource::new(s)).collect();
+    fn check<R>(
+        tag: &str,
+        g: &enterprise_graph::Csr,
+        report: &enterprise::BatchReport<R>,
+        levels: fn(&R) -> &Vec<Option<u32>>,
+    ) {
+        let n = g.vertex_count();
+        assert!(report.accounted(), "{tag}: accounting broken");
+        assert_eq!(report.poisoned, 2, "{tag}: exactly the out-of-range sources poison");
+        for run in &report.runs {
+            if run.source as usize >= n {
+                match &run.outcome {
+                    SourceOutcome::Poisoned(PoisonReason::Error(BfsError::SourceOutOfRange {
+                        source,
+                        vertices,
+                    })) => assert_eq!((*source, *vertices), (run.source, n), "{tag}"),
+                    other => panic!("{tag}: source {} ended {other:?}", run.source),
+                }
+            } else {
+                assert!(run.outcome.is_ok(), "{tag}: sibling {} was not completed", run.source);
+                let r = run.result.as_ref().expect("ok outcome without result");
+                assert_eq!(levels(r), &cpu_levels(g, run.source), "{tag}: sibling is wrong");
+            }
+        }
+    }
+    let refused = |e: BfsError| {
+        matches!(e, BfsError::SourceOutOfRange { source, vertices }
+            if source == bad[1] && vertices == n)
+    };
+    let mut single = Enterprise::new(EnterpriseConfig::default(), &g);
+    assert!(refused(single.try_bfs(bad[1]).unwrap_err()));
+    let mut one_d = MultiGpuEnterprise::new(MultiGpuConfig::k40s(4), &g);
+    assert!(refused(one_d.try_bfs(bad[1]).unwrap_err()));
+    let mut two_d = MultiGpu2DEnterprise::new(Grid2DConfig::k40s(2, 2), &g);
+    assert!(refused(two_d.try_bfs(bad[1]).unwrap_err()));
+    for pipeline in [PipelineMode::Off, PipelineMode::Overlap(4)] {
+        let policy = BatchPolicy { pipeline, ..BatchPolicy::on() };
+        let tag = format!("single {pipeline:?}");
+        check(&tag, &g, &single.batch(&sources, &policy), |r| &r.levels);
+        let tag = format!("1-D {pipeline:?}");
+        check(&tag, &g, &one_d.batch(&sources, &policy), |r| &r.levels);
+        let tag = format!("2-D {pipeline:?}");
+        check(&tag, &g, &two_d.batch(&sources, &policy), |r| &r.levels);
+    }
+}
+
 /// The hedged re-execution — triggered by a straggler blowing the level
 /// deadline, run with deadlines lifted — must be bit-deterministic:
 /// two fresh instances produce identical outcomes, digests, and
