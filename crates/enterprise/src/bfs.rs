@@ -14,9 +14,8 @@ use crate::frontier::{
 };
 use crate::kernels::{try_expand_level, Direction};
 use crate::persist::{
-    load_checkpoint_chain, truncate_queues, CheckpointSnapshot, CheckpointWriter,
-    DeviceCheckpoint, DriverKind, FleetRecord, GraphFingerprint, LayoutSnapshot, PersistError,
-    PersistPolicy, SnapshotStore, CHECKPOINT_FILE, DELTA_FILE,
+    DeviceCheckpoint, DriverKind, Durability, FleetRecord, GraphFingerprint, LayoutSnapshot,
+    PersistPolicy, SnapshotStore,
 };
 use crate::repartition::{build_1d, rebuild_queues};
 use crate::state::BfsState;
@@ -25,8 +24,8 @@ use crate::validate::{audit, check_level, repair_vertices, validate, ValidationE
 use crate::watchdog::{StallDetector, WatchdogPolicy};
 use enterprise_graph::{stats::hub_threshold_for_capacity, Csr, VertexId};
 use gpu_sim::{
-    Device, DeviceConfig, DeviceError, DeviceReport, EccMode, FaultBundle, FaultPlan, FaultSpec,
-    KernelRecord,
+    Device, DeviceConfig, DeviceError, DeviceMem, DeviceReport, EccMode, FaultBundle, FaultPlan,
+    FaultSpec, KernelRecord,
 };
 use std::collections::VecDeque;
 
@@ -195,17 +194,8 @@ pub struct Enterprise {
     /// Host copy of the CSR, kept only when the verification ladder is
     /// enabled (the checker and repair re-relax against real edges).
     verify_csr: Option<Csr>,
-    /// Durable snapshot store, present when persistence is configured.
-    store: Option<SnapshotStore>,
-    /// Structural identity of the bound graph, for stale-snapshot rejection.
-    fingerprint: Option<GraphFingerprint>,
-    /// Persistence failures absorbed during setup, surfaced into the next
-    /// run's [`RecoveryReport::snapshot_errors`].
-    persist_errors: Vec<PersistError>,
-    /// Whether setup warm-started from a persisted layout snapshot.
-    warm_restart: bool,
-    /// Keyframe + delta checkpoint publisher.
-    ckpt_writer: CheckpointWriter,
+    /// The durability path: snapshot store, cadence and checkpoint writer.
+    persist: Durability,
     /// Parked per-slot lane states for pipelined batches, reused across
     /// admissions (the simulator never frees device buffers, so lanes
     /// allocate once per slot, not once per source).
@@ -221,7 +211,7 @@ pub struct SingleLane {
     /// The lane's working state; `None` transiently while swapped onto
     /// the driver during a slice, and after parking back in the pool.
     state: Option<BfsState>,
-    walk: Walk<LoopVars>,
+    walk: Walk,
     /// The lane's fault universe, parked here between slices so sibling
     /// lanes never draw from it.
     bundle: FaultBundle,
@@ -238,9 +228,9 @@ pub struct SingleLane {
 /// sequential run and pipeline lanes advance a walk one level per step
 /// (DESIGN.md §5j); the two kinds differ only in the capabilities the
 /// constructor records.
-pub(crate) struct Walk<V> {
+pub(crate) struct Walk {
     pub(crate) source: VertexId,
-    pub(crate) vars: V,
+    pub(crate) vars: LoopVars,
     pub(crate) trace: Vec<LevelRecord>,
     pub(crate) recovery: RecoveryReport,
     pub(crate) level: u32,
@@ -257,29 +247,39 @@ pub(crate) struct Walk<V> {
     pub(crate) reshapes: bool,
 }
 
-impl<V> Walk<V> {
-    /// Opens a walk from `source`, refusing a root outside the graph's
-    /// `vertices` before any device work. A `lane` walk gets neither
-    /// durable checkpoints nor reshapes; a sequential walk gets both.
-    /// The recovery report starts from the instance's warm-restart flag
-    /// and takes over its pending setup-time persistence errors.
+impl Walk {
+    /// Opens a walk from `source` at the initial loop variables, refusing
+    /// a root outside the graph's `vertices` before any device work. A
+    /// `lane` walk gets neither durable checkpoints nor reshapes; a
+    /// sequential walk gets both. The recovery report starts from the
+    /// instance's warm-restart flag and takes over its pending setup-time
+    /// persistence errors.
     pub(crate) fn open(
         source: VertexId,
         vertices: usize,
         lane: bool,
         watchdog: &WatchdogPolicy,
-        warm_restart: bool,
-        persist_errors: &mut Vec<PersistError>,
-        vars: impl FnOnce() -> V,
+        persist: &mut Durability,
     ) -> Result<Self, BfsError> {
         if source as usize >= vertices {
             return Err(BfsError::SourceOutOfRange { source, vertices });
         }
-        let mut recovery = RecoveryReport { warm_restart, ..RecoveryReport::default() };
-        recovery.snapshot_errors.append(persist_errors);
+        let mut recovery =
+            RecoveryReport { warm_restart: persist.warm_restart, ..RecoveryReport::default() };
+        recovery.snapshot_errors.append(&mut persist.errors);
         Ok(Walk {
             source,
-            vars: vars(),
+            vars: LoopVars {
+                dir: Direction::TopDown,
+                switched_at: None,
+                // Probing an empty cache is pure overhead; expansion
+                // enables the cache only when the last generation staged
+                // at least one hub.
+                cache_filled: false,
+                visited_edge_sum: 0,
+                bu_queue_edge_sum: 0,
+                prev_frontier_edges: 0,
+            },
             trace: Vec::new(),
             recovery,
             level: 0,
@@ -288,6 +288,18 @@ impl<V> Walk<V> {
             durable: !lane,
             reshapes: !lane,
         })
+    }
+
+    /// A level checkpoint of this walk over the `devices`' snapshots.
+    pub(crate) fn checkpoint(&self, devices: Vec<DeviceSnapshot>) -> Checkpoint {
+        Checkpoint { devices, vars: self.vars.clone(), trace_len: self.trace.len() }
+    }
+
+    /// Rolls this walk's loop variables and trace back to `ckpt` (the
+    /// caller restores the devices).
+    pub(crate) fn rewind(&mut self, ckpt: &Checkpoint) {
+        self.vars = ckpt.vars.clone();
+        self.trace.truncate(ckpt.trace_len);
     }
 }
 
@@ -303,27 +315,59 @@ enum LevelVerdict {
     Corrupt(ValidationError),
 }
 
-/// Host-side copy of the device state saved at the top of each level, so
-/// a faulted level can be replayed instead of aborting the search.
-struct Checkpoint {
-    status: Vec<u32>,
-    parent: Vec<u32>,
-    queues: [Vec<u32>; 4],
-    queue_sizes: [usize; 4],
-    vars: LoopVars,
-    trace_len: usize,
+/// One device's traversal state, copied to the host at the top of a
+/// level.
+pub(crate) struct DeviceSnapshot {
+    pub(crate) status: Vec<u32>,
+    pub(crate) parent: Vec<u32>,
+    pub(crate) queues: [Vec<u32>; 4],
+    pub(crate) queue_sizes: [usize; 4],
 }
 
-/// Host loop variables of the traversal, bundled so checkpoints can
-/// snapshot and restore them alongside the device buffers.
+impl DeviceSnapshot {
+    /// Copies `state`'s buffers out of `mem`.
+    pub(crate) fn capture(mem: &DeviceMem, state: &BfsState) -> Self {
+        DeviceSnapshot {
+            status: mem.view(state.status).to_vec(),
+            parent: mem.view(state.parent).to_vec(),
+            queues: state.queues.map(|q| mem.view(q).to_vec()),
+            queue_sizes: state.queue_sizes,
+        }
+    }
+
+    /// Uploads the copy back into `state` on `mem`.
+    pub(crate) fn restore(&self, mem: &mut DeviceMem, state: &mut BfsState) {
+        mem.upload(state.status, &self.status);
+        mem.upload(state.parent, &self.parent);
+        for (buf, data) in state.queues.iter().zip(&self.queues) {
+            mem.upload(*buf, data);
+        }
+        state.queue_sizes = self.queue_sizes;
+    }
+}
+
+/// The traversal state saved at the top of each level — every device's
+/// buffers plus the walk's loop variables — so a faulted level can be
+/// replayed instead of aborting the search, and a durable walk can
+/// publish it.
+pub(crate) struct Checkpoint {
+    /// Indexed by device id.
+    pub(crate) devices: Vec<DeviceSnapshot>,
+    pub(crate) vars: LoopVars,
+    pub(crate) trace_len: usize,
+}
+
+/// Host loop variables of a traversal, bundled so checkpoints can
+/// snapshot and restore them alongside the device buffers. The fleets
+/// never feed the single-GPU α sums, which stay zero there.
 #[derive(Clone)]
-struct LoopVars {
-    dir: Direction,
-    switched_at: Option<u32>,
-    cache_filled: bool,
-    visited_edge_sum: u64,
-    bu_queue_edge_sum: u64,
-    prev_frontier_edges: u64,
+pub(crate) struct LoopVars {
+    pub(crate) dir: Direction,
+    pub(crate) switched_at: Option<u32>,
+    pub(crate) cache_filled: bool,
+    pub(crate) visited_edge_sum: u64,
+    pub(crate) bu_queue_edge_sum: u64,
+    pub(crate) prev_frontier_edges: u64,
 }
 
 impl crate::batch::BatchHost for Enterprise {
@@ -378,10 +422,7 @@ impl crate::batch::BatchHost for Enterprise {
     }
 
     fn manifest_store(&mut self) -> Option<(&mut SnapshotStore, GraphFingerprint)> {
-        match (self.store.as_mut(), self.fingerprint) {
-            (Some(store), Some(fp)) => Some((store, fp)),
-            _ => None,
-        }
+        self.persist.manifest_store()
     }
 
     type Lane = SingleLane;
@@ -535,41 +576,20 @@ impl Enterprise {
         };
         let mut state =
             BfsState::try_new(&mut device, &graph, thresholds, config.hub_cache_entries, tau)?;
-        // Crash-consistent persistence: open the snapshot store and, if a
-        // valid layout snapshot for this exact graph and configuration
-        // exists, warm-start from it (reusing the persisted hub census
-        // instead of re-measuring). Any failure — missing store, torn or
-        // stale snapshot — degrades to a cold start with a typed error.
-        let mut store = None;
-        let mut persist_errors: Vec<PersistError> = Vec::new();
-        let mut warm_restart = false;
-        let fingerprint = config.persist.as_ref().map(|_| GraphFingerprint::of(csr));
-        if let Some(policy) = &config.persist {
-            match SnapshotStore::open(&policy.state_dir, config.faults.as_ref()) {
-                Ok(s) => store = Some(s),
-                Err(e) => persist_errors.push(e),
-            }
-        }
-        if let (Some(st), Some(fp)) = (store.as_mut(), fingerprint.as_ref()) {
-            match LayoutSnapshot::load(st) {
-                Ok(Some(snap)) => {
-                    if snap.fingerprint != *fp {
-                        persist_errors.push(PersistError::GraphMismatch);
-                    } else if snap.kind != DriverKind::Single
-                        || snap.hub_tau != tau
-                        || snap.grid != (1, 1)
-                        || snap.slices.len() != 1
-                        || snap.slices[0] != (state.td_range.clone(), state.bu_range.clone())
-                    {
-                        persist_errors.push(PersistError::LayoutMismatch);
-                    } else {
-                        state.total_hubs = snap.total_hubs;
-                        warm_restart = true;
-                    }
-                }
-                Ok(None) => {}
-                Err(e) => persist_errors.push(e),
-            }
+        // Crash-consistent persistence: a valid layout snapshot for this
+        // exact graph and configuration warm-starts the instance with the
+        // persisted hub census instead of re-measuring it. Any defect
+        // degrades to a cold start with a typed error.
+        let mut persist = Durability::open(
+            DriverKind::Single,
+            config.persist.as_ref(),
+            config.faults.as_ref(),
+            csr,
+        );
+        let ranges = [(state.td_range.clone(), state.bu_range.clone())];
+        let fits = |snap: &LayoutSnapshot| snap.grid == (1, 1) && snap.slices == ranges;
+        if let Some(snap) = persist.load_layout(tau, fits) {
+            state.total_hubs = snap.total_hubs;
         }
         // T_h (γ's denominator) is a graph property: measured on device
         // once at setup and reused by every search, as the paper
@@ -577,7 +597,7 @@ impl Enterprise {
         // The measurement is idempotent, so transient launch faults are
         // absorbed by simple re-runs. A warm restart reuses the persisted
         // census instead.
-        if !warm_restart {
+        if !persist.warm_restart {
             let mut attempts = 0u32;
             loop {
                 match try_measure_total_hubs(&mut device, &graph, &mut state) {
@@ -602,11 +622,7 @@ impl Enterprise {
             out_degrees,
             total_out_edges,
             verify_csr,
-            store,
-            fingerprint,
-            persist_errors,
-            warm_restart,
-            ckpt_writer: CheckpointWriter::new(),
+            persist,
             lane_pool: Vec::new(),
         })
     }
@@ -741,37 +757,27 @@ impl Enterprise {
         // the freshly seeded state with the persisted level boundary and
         // continue from there. Any snapshot defect degrades to the cold
         // start already seeded above.
-        walk.level = self.try_resume(&mut walk).unwrap_or(0);
+        let states = std::iter::once(&self.state);
+        let n = self.graph.vertex_count;
+        if let Some(snap) =
+            self.persist.load_checkpoint(source, states, n, false, &mut walk.recovery)
+        {
+            snap.devices[0].upload(self.device.mem(), &mut self.state);
+            snap.resume(&mut walk);
+        }
         while !self.step_level(&mut walk)? {}
         walk.recovery.faults = self.device.fault_stats();
         self.persist_finish(&mut walk.recovery);
         Ok(self.collect_result(walk))
     }
 
-    /// Opens a walk from `source` with the initial loop variables every
-    /// traversal starts from (sequential run or pipeline `lane`).
-    fn open_walk(&mut self, source: VertexId, lane: bool) -> Result<Walk<LoopVars>, BfsError> {
-        let degrees = &self.out_degrees;
-        Walk::open(
-            source,
-            self.graph.vertex_count,
-            lane,
-            &self.config.watchdog,
-            self.warm_restart,
-            &mut self.persist_errors,
-            || LoopVars {
-                dir: Direction::TopDown,
-                switched_at: None,
-                // Probing an empty cache is pure overhead; expansion
-                // enables the cache only when the last generation staged
-                // at least one hub.
-                cache_filled: false,
-                // Running sum of out-degrees of visited vertices, for α.
-                visited_edge_sum: degrees[source as usize] as u64,
-                bu_queue_edge_sum: 0,
-                prev_frontier_edges: 0,
-            },
-        )
+    /// Opens a walk from `source` (sequential run or pipeline `lane`).
+    fn open_walk(&mut self, source: VertexId, lane: bool) -> Result<Walk, BfsError> {
+        let n = self.graph.vertex_count;
+        let mut walk = Walk::open(source, n, lane, &self.config.watchdog, &mut self.persist)?;
+        // Running sum of out-degrees of visited vertices, for α.
+        walk.vars.visited_edge_sum = self.out_degrees[source as usize] as u64;
+        Ok(walk)
     }
 
     /// Advances `walk` one BFS level on the resident state: checkpoint
@@ -780,7 +786,7 @@ impl Enterprise {
     /// post-level bookkeeping. Returns `Ok(true)` when the frontier
     /// drained. A sequential run loops over this; a pipeline lane calls
     /// it once per slice with its own state swapped in.
-    fn step_level(&mut self, walk: &mut Walk<LoopVars>) -> Result<bool, BfsError> {
+    fn step_level(&mut self, walk: &mut Walk) -> Result<bool, BfsError> {
         let level = walk.level;
         // Structural liveness bound: a level-synchronous BFS can run at
         // most n+1 levels, so a counter past the cap means the frontier
@@ -789,9 +795,11 @@ impl Enterprise {
             let frontier = self.state.total_frontier();
             return Err(BfsError::Hang { level, frontier, stalled_levels: 0 });
         }
-        let ckpt = self.checkpoint(walk);
-        if walk.durable {
-            self.maybe_persist_checkpoint(walk, &ckpt);
+        let ckpt =
+            walk.checkpoint(vec![DeviceSnapshot::capture(self.device.mem_ref(), &self.state)]);
+        if walk.durable && self.persist.due(level) {
+            let image = DeviceCheckpoint::of(&ckpt.devices[0], &self.state, self.device.mem_ref());
+            self.persist.write(walk, vec![image], Vec::new());
         }
         let mut attempts: u32 = 0;
         let done = loop {
@@ -961,148 +969,22 @@ impl Enterprise {
         })
     }
 
-    /// Attempts to resume from a durable mid-traversal checkpoint. Returns
-    /// the level to continue at, or `None` for a cold start (no snapshot,
-    /// persistence disabled, or a typed defect recorded in `recovery`).
-    fn try_resume(&mut self, walk: &mut Walk<LoopVars>) -> Option<u32> {
-        let fp = *self.fingerprint.as_ref()?;
-        let store = self.store.as_mut()?;
-        let recovery = &mut walk.recovery;
-        let snap = match load_checkpoint_chain(store, &mut recovery.snapshot_errors) {
-            Ok(Some(s)) => s,
-            Ok(None) => return None,
-            Err(e) => {
-                recovery.snapshot_errors.push(e);
-                return None;
-            }
-        };
-        if snap.fingerprint != fp {
-            recovery.snapshot_errors.push(PersistError::GraphMismatch);
-            return None;
-        }
-        if snap.source != walk.source {
-            recovery.snapshot_errors.push(PersistError::SourceMismatch);
-            return None;
-        }
-        let n = self.graph.vertex_count;
-        let dev = match &snap.devices[..] {
-            [d] => d,
-            _ => {
-                recovery.snapshot_errors.push(PersistError::LayoutMismatch);
-                return None;
-            }
-        };
-        let compatible = snap.kind == DriverKind::Single
-            && snap.evicted.is_empty()
-            // Lane-bound checkpoints (written inside a pipelined window)
-            // must not be adopted by a sequential resume.
-            && snap.lanes.is_empty()
-            && dev.td == self.state.td_range
-            && dev.bu == self.state.bu_range
-            && dev.status.len() == n
-            && dev.parent.len() == n
-            && dev.hub_src.len() == self.state.hub_cache_entries
-            && dev.queues.iter().all(|q| q.len() <= n);
-        if !compatible {
-            recovery.snapshot_errors.push(PersistError::LayoutMismatch);
-            return None;
-        }
-        let mem = self.device.mem();
-        mem.upload(self.state.status, &dev.status);
-        mem.upload(self.state.parent, &dev.parent);
-        for (k, q) in dev.queues.iter().enumerate() {
-            let mut padded = q.clone();
-            padded.resize(n, 0);
-            mem.upload(self.state.queues[k], &padded);
-            self.state.queue_sizes[k] = q.len();
-        }
-        mem.upload(self.state.hub_src, &dev.hub_src);
-        walk.vars = LoopVars {
-            dir: if snap.dir_bottom_up { Direction::BottomUp } else { Direction::TopDown },
-            switched_at: snap.switched_at,
-            cache_filled: snap.cache_filled,
-            visited_edge_sum: snap.visited_edge_sum,
-            bu_queue_edge_sum: snap.bu_queue_edge_sum,
-            prev_frontier_edges: snap.prev_frontier_edges,
-        };
-        recovery.resumed_at_level = Some(snap.level);
-        Some(snap.level)
-    }
-
-    /// Publishes a durable mid-traversal checkpoint at the configured level
-    /// cadence. Failures are absorbed (recorded, never fatal): losing a
-    /// checkpoint only costs restart progress, not correctness.
-    fn maybe_persist_checkpoint(&mut self, walk: &mut Walk<LoopVars>, ckpt: &Checkpoint) {
-        let level = walk.level;
-        let every = match self.config.persist.as_ref().and_then(|p| p.checkpoint_levels) {
-            Some(e) => e,
-            None => return,
-        };
-        if level == 0 || level % every != 0 {
-            return;
-        }
-        let (Some(fp), Some(store)) = (self.fingerprint.as_ref(), self.store.as_mut()) else {
-            return;
-        };
-        let hub_src = self.device.mem_ref().view(self.state.hub_src).to_vec();
-        let snap = CheckpointSnapshot {
-            kind: DriverKind::Single,
-            fingerprint: *fp,
-            source: walk.source,
-            level,
-            dir_bottom_up: matches!(ckpt.vars.dir, Direction::BottomUp),
-            switched_at: ckpt.vars.switched_at,
-            cache_filled: ckpt.vars.cache_filled,
-            visited_edge_sum: ckpt.vars.visited_edge_sum,
-            bu_queue_edge_sum: ckpt.vars.bu_queue_edge_sum,
-            prev_frontier_edges: ckpt.vars.prev_frontier_edges,
-            devices: vec![DeviceCheckpoint {
-                td: self.state.td_range.clone(),
-                bu: self.state.bu_range.clone(),
-                status: ckpt.status.clone(),
-                parent: ckpt.parent.clone(),
-                queues: truncate_queues(&ckpt.queues, &ckpt.queue_sizes),
-                hub_src,
-            }],
-            evicted: Vec::new(),
-            lanes: Vec::new(),
-        };
-        match self.ckpt_writer.persist(store, &snap) {
-            Ok(()) => walk.recovery.snapshots_persisted += 1,
-            Err(e) => walk.recovery.snapshot_errors.push(e),
-        }
-    }
-
-    /// End-of-run persistence: durably publish the learned layout (hub
-    /// census) and retire the mid-traversal checkpoint — the run finished,
-    /// so there is nothing left to resume. An errored run never reaches
-    /// this point and leaves its checkpoint on disk: that is the crash
-    /// case a restart recovers from.
+    /// End-of-run persistence: publish the learned layout (the hub
+    /// census) and retire the checkpoint chain.
     fn persist_finish(&mut self, recovery: &mut RecoveryReport) {
-        let (Some(fp), Some(store)) = (self.fingerprint.as_ref(), self.store.as_mut()) else {
-            return;
-        };
-        let layout = LayoutSnapshot {
-            kind: DriverKind::Single,
-            fingerprint: *fp,
-            hub_tau: self.state.hub_tau,
-            total_hubs: self.state.total_hubs,
-            grid: (1, 1),
-            collapsed: false,
-            slices: vec![(self.state.td_range.clone(), self.state.bu_range.clone())],
-            evicted: Vec::new(),
-        };
-        match layout.save(store) {
-            Ok(()) => recovery.snapshots_persisted += 1,
-            Err(e) => recovery.snapshot_errors.push(e),
+        if let Some(fingerprint) = self.persist.fingerprint() {
+            let layout = LayoutSnapshot {
+                kind: DriverKind::Single,
+                fingerprint,
+                hub_tau: self.state.hub_tau,
+                total_hubs: self.state.total_hubs,
+                grid: (1, 1),
+                collapsed: false,
+                slices: vec![(self.state.td_range.clone(), self.state.bu_range.clone())],
+                evicted: Vec::new(),
+            };
+            self.persist.finish(Some(layout), recovery);
         }
-        for file in [CHECKPOINT_FILE, DELTA_FILE] {
-            if let Err(e) = store.remove(file) {
-                recovery.snapshot_errors.push(e);
-            }
-        }
-        self.ckpt_writer = CheckpointWriter::new();
-        recovery.faults.merge(&store.take_stats());
     }
 
     /// Runs [`Enterprise::try_bfs`] and gates the result on the CPU
@@ -1130,7 +1012,7 @@ impl Enterprise {
     /// the repartitioner uses after a device loss), and recomputes the
     /// termination decision; an unrepairable state escalates to a level
     /// replay via [`LevelVerdict::Corrupt`].
-    fn verify_level(&mut self, ckpt: &Checkpoint, walk: &mut Walk<LoopVars>) -> LevelVerdict {
+    fn verify_level(&mut self, ckpt: &Checkpoint, walk: &mut Walk) -> LevelVerdict {
         let (source, level, dir) = (walk.source, walk.level, walk.vars.dir);
         let recovery = &mut walk.recovery;
         let csr =
@@ -1147,8 +1029,8 @@ impl Enterprise {
                 csr,
                 &mut status,
                 &mut parent,
-                &ckpt.status,
-                &ckpt.parent,
+                &ckpt.devices[0].status,
+                &ckpt.devices[0].parent,
                 &flagged,
                 level,
             );
@@ -1194,38 +1076,12 @@ impl Enterprise {
         })
     }
 
-    /// Snapshots the device-resident traversal state and the host loop
-    /// variables so the current level can be replayed after a fault.
-    fn checkpoint(&self, walk: &Walk<LoopVars>) -> Checkpoint {
-        let mem = self.device.mem_ref();
-        Checkpoint {
-            status: mem.view(self.state.status).to_vec(),
-            parent: mem.view(self.state.parent).to_vec(),
-            queues: [
-                mem.view(self.state.queues[0]).to_vec(),
-                mem.view(self.state.queues[1]).to_vec(),
-                mem.view(self.state.queues[2]).to_vec(),
-                mem.view(self.state.queues[3]).to_vec(),
-            ],
-            queue_sizes: self.state.queue_sizes,
-            vars: walk.vars.clone(),
-            trace_len: walk.trace.len(),
-        }
-    }
-
     /// Rolls the traversal back to `ckpt`. Elapsed simulated time is NOT
     /// rolled back: faulted work costs wall-clock, exactly like a real
     /// relaunch.
-    fn restore(&mut self, ckpt: &Checkpoint, walk: &mut Walk<LoopVars>) {
-        let mem = self.device.mem();
-        mem.upload(self.state.status, &ckpt.status);
-        mem.upload(self.state.parent, &ckpt.parent);
-        for (buf, data) in self.state.queues.iter().zip(&ckpt.queues) {
-            mem.upload(*buf, data);
-        }
-        self.state.queue_sizes = ckpt.queue_sizes;
-        walk.vars = ckpt.vars.clone();
-        walk.trace.truncate(ckpt.trace_len);
+    fn restore(&mut self, ckpt: &Checkpoint, walk: &mut Walk) {
+        ckpt.devices[0].restore(self.device.mem(), &mut self.state);
+        walk.rewind(ckpt);
     }
 
     /// One level of the traversal: expand the current queues, generate
@@ -1370,7 +1226,7 @@ impl Enterprise {
         sum
     }
 
-    fn collect_result(&self, walk: Walk<LoopVars>) -> BfsResult {
+    fn collect_result(&self, walk: Walk) -> BfsResult {
         let raw_status = self.device.mem_ref().view(self.state.status);
         let raw_parent = self.device.mem_ref().view(self.state.parent);
         let levels = levels_from_raw(raw_status);

@@ -9,16 +9,18 @@
 //! advance through ([`step_level`]). A driver supplies only its
 //! [`Topology`]: how a level expands and exchanges, how a lost device
 //! is spliced out, how a straggler is rebalanced away, the partition
-//! view the verifier rebuilds queues against, and its persistence.
+//! view the verifier rebuilds queues against, and the layout it
+//! persists.
 
 use crate::batch::BatchHost;
-use crate::bfs::Walk;
+use crate::bfs::{Checkpoint, DeviceSnapshot, Walk};
 use crate::device_graph::DeviceGraph;
 use crate::error::{BfsError, RecoveryReport};
 use crate::kernels::Direction;
 use crate::multi_gpu::{MultiBfsResult, MultiGpuConfig};
 use crate::persist::{
-    DriverKind, FleetRecord, GraphFingerprint, LayoutSnapshot, PersistError, SnapshotStore,
+    CheckpointSnapshot, DeviceCheckpoint, DriverKind, Durability, FleetRecord, GraphFingerprint,
+    LayoutSnapshot, PersistError, SnapshotStore,
 };
 use crate::rebalance::{DeviceTiming, ImbalanceDetector};
 use crate::repartition::{self, PartitionArrays};
@@ -30,17 +32,6 @@ use gpu_sim::{DeviceError, ExchangeOutcome, FaultSpec, FleetFaultBundle, MultiDe
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-/// Host loop variables of a fleet traversal.
-#[derive(Clone)]
-pub(crate) struct MultiLoopVars {
-    pub(crate) dir: Direction,
-    pub(crate) switched_at: Option<u32>,
-    pub(crate) cache_filled: bool,
-}
-
-/// A traversal in flight on a fleet.
-pub(crate) type FleetWalk = Walk<MultiLoopVars>;
-
 /// One device's resident partition: its CSR view, its working state,
 /// and the vertex slice it expands (the 1-D owned slice, or the 2-D
 /// column block).
@@ -48,21 +39,6 @@ pub(crate) struct Part {
     pub(crate) graph: DeviceGraph,
     pub(crate) state: BfsState,
     pub(crate) owned: Range<usize>,
-}
-
-/// Per-device state snapshot used for level replay.
-pub(crate) struct DeviceSnapshot {
-    pub(crate) status: Vec<u32>,
-    pub(crate) parent: Vec<u32>,
-    pub(crate) queues: [Vec<u32>; 4],
-    pub(crate) queue_sizes: [usize; 4],
-}
-
-/// Cross-device checkpoint taken at the top of each level.
-pub(crate) struct MultiCheckpoint {
-    pub(crate) devices: Vec<DeviceSnapshot>,
-    pub(crate) vars: MultiLoopVars,
-    pub(crate) trace_len: usize,
 }
 
 /// Per-source lane state for pipelined (MS-BFS) batch execution on a
@@ -74,7 +50,7 @@ pub(crate) struct FleetLane {
     /// Indexed by device id; `None` for devices that were already dead
     /// at admission (their partitions live on survivors).
     states: Vec<Option<BfsState>>,
-    walk: FleetWalk,
+    walk: Walk,
     /// The lane's parked fleet fault universe (installed scoped plan +
     /// per-device straggler/throttle state + link plan), swapped in for
     /// each slice so sibling lanes never draw from it.
@@ -105,15 +81,8 @@ pub(crate) struct Fleet {
     /// (queue generation, barriers excluded) — the telemetry the
     /// imbalance detector consumes.
     pub(crate) level_busy: Vec<f64>,
-    /// Durable snapshot store, present when persistence is configured.
-    pub(crate) store: Option<SnapshotStore>,
-    /// Structural identity of the bound graph, for stale-snapshot rejection.
-    pub(crate) fingerprint: Option<GraphFingerprint>,
-    /// Persistence failures absorbed during setup, surfaced into the next
-    /// run's [`RecoveryReport::snapshot_errors`].
-    pub(crate) persist_errors: Vec<PersistError>,
-    /// Whether setup warm-started from a persisted layout snapshot.
-    pub(crate) warm_restart: bool,
+    /// The durability path: snapshot store, cadence and checkpoint writer.
+    pub(crate) persist: Durability,
     /// Devices a restored *degraded-fleet* layout recorded as evicted:
     /// every run of this instance re-evicts them at start and resumes on
     /// the survivors (whose restored slices tile the vertex range alone).
@@ -167,7 +136,7 @@ pub(crate) trait Topology {
     /// One global level: expansion, exchange and merge, queue
     /// generation, direction decision, trace record. Returns `Ok(true)`
     /// when the search has terminated.
-    fn level_pass(&mut self, walk: &mut FleetWalk) -> Result<bool, BfsError>;
+    fn level_pass(&mut self, walk: &mut Walk) -> Result<bool, BfsError>;
     /// Evicts `lost` and reshapes the fleet around the hole, rolling the
     /// survivors back to `ckpt`; the caller replays the level. Fails
     /// with [`BfsError::AllDevicesLost`] when the eviction budget
@@ -175,8 +144,8 @@ pub(crate) trait Topology {
     fn handle_loss(
         &mut self,
         lost: usize,
-        ckpt: &MultiCheckpoint,
-        walk: &mut FleetWalk,
+        ckpt: &Checkpoint,
+        walk: &mut Walk,
     ) -> Result<(), BfsError>;
     /// Shifts work toward faster devices in proportion to `weights`
     /// (one entry per alive device), rebuilding the frontier queues for
@@ -188,17 +157,28 @@ pub(crate) trait Topology {
         dir: Direction,
         recovery: &mut RecoveryReport,
     ) -> Result<(), BfsError>;
-    /// Resumes a sequential walk from a durable mid-traversal
-    /// checkpoint. Returns the level to continue at, or `None` for a
-    /// cold start (no snapshot, persistence disabled, or a typed defect
-    /// recorded in the walk's report).
-    fn try_resume(&mut self, walk: &mut FleetWalk) -> Option<u32>;
-    /// Publishes a durable mid-traversal checkpoint at the configured
-    /// level cadence. Failures are absorbed (recorded, never fatal).
-    fn maybe_persist_checkpoint(&mut self, walk: &mut FleetWalk, ckpt: &MultiCheckpoint);
-    /// End-of-run persistence: publish the learned layout and retire
-    /// the mid-traversal checkpoint.
-    fn persist_finish(&mut self, recovery: &mut RecoveryReport);
+    /// The learned layout a finished run publishes under `fingerprint`,
+    /// or `None` when it breaks the driver's shape rule.
+    fn layout(
+        &self,
+        fingerprint: GraphFingerprint,
+        recovery: &RecoveryReport,
+    ) -> Option<LayoutSnapshot>;
+    /// Whether the fleet's current shape may be checkpointed durably.
+    fn checkpoints_now(&self) -> bool {
+        true
+    }
+    /// Rebuilds the fleet to a checkpoint taken after evictions, so the
+    /// walk resumes on the survivors; `false` (with the defect recorded)
+    /// when the driver cannot host it and the walk cold-starts.
+    fn degraded_resume(
+        &mut self,
+        _snap: &CheckpointSnapshot,
+        recovery: &mut RecoveryReport,
+    ) -> bool {
+        recovery.snapshot_errors.push(PersistError::LayoutMismatch);
+        false
+    }
     /// The fleet's serializable degradation for the batch ledger (see
     /// [`BatchHost::capture_fleet`]); `None` when unsupported.
     fn fleet_record(&mut self) -> Option<FleetRecord> {
@@ -274,8 +254,8 @@ enum MergedVerdict {
 /// view (`view_of` supplies the driver's 1-D or 2-D block views).
 fn verify_merged_level(
     f: &mut Fleet,
-    ckpt: &MultiCheckpoint,
-    walk: &mut FleetWalk,
+    ckpt: &Checkpoint,
+    walk: &mut Walk,
     view_of: fn(&Csr, &DeviceVerifyInfo) -> PartitionArrays,
 ) -> MergedVerdict {
     let (source, level, dir) = (walk.source, walk.level, walk.vars.dir);
@@ -397,7 +377,7 @@ pub(crate) fn try_bfs<T: Topology>(
 /// then step the walk until its frontier drains.
 fn try_bfs_once<T: Topology>(t: &mut T, source: VertexId) -> Result<MultiBfsResult, BfsError> {
     let f = t.fleet_mut();
-    let mut walk = f.open_walk(source, false)?;
+    let mut walk = Walk::open(source, f.vertex_count, false, &f.config.watchdog, &mut f.persist)?;
     // Device loss is per-run: revive the substrate and restore the
     // original partitions displaced by the previous run's evictions, so
     // repeated runs of one instance stay bit-reproducible. Under a batch
@@ -421,16 +401,46 @@ fn try_bfs_once<T: Topology>(t: &mut T, source: VertexId) -> Result<MultiBfsResu
     }
     f.multi.reset_stats();
     f.seed(source, T::SEED_BARRIER);
-    // Warm restart from a durable mid-traversal checkpoint: overwrite the
-    // freshly seeded state with the persisted level boundary and continue
-    // from there. Defects degrade to the cold start above.
-    walk.level = t.try_resume(&mut walk).unwrap_or(0);
+    try_resume(t, &mut walk);
     let f = t.fleet_mut();
     f.link_mark = f.multi.fault_stats().link_slow_us;
     while !step_level(t, &mut walk)? {}
     walk.recovery.faults = t.fleet().multi.fault_stats();
-    t.persist_finish(&mut walk.recovery);
+    persist_finish(t, &mut walk.recovery);
     Ok(t.fleet().collect(walk))
+}
+
+/// Warm restart from a durable mid-traversal checkpoint: overwrites the
+/// freshly seeded survivors with the persisted level boundary (after the
+/// driver rebuilds a degraded fleet) and continues from there. Defects
+/// degrade to the cold start already seeded.
+fn try_resume<T: Topology>(t: &mut T, walk: &mut Walk) {
+    let f = t.fleet_mut();
+    let states = f.parts.iter().map(|p| &p.state);
+    let Some(snap) =
+        f.persist.load_checkpoint(walk.source, states, f.vertex_count, true, &mut walk.recovery)
+    else {
+        return;
+    };
+    if !snap.evicted.is_empty() && !t.degraded_resume(&snap, &mut walk.recovery) {
+        return;
+    }
+    let f = t.fleet_mut();
+    for (d, (dev, part)) in snap.devices.iter().zip(&mut f.parts).enumerate() {
+        if f.multi.is_alive(d) {
+            dev.upload(f.multi.device(d).mem(), &mut part.state);
+        }
+    }
+    snap.resume(walk);
+}
+
+/// End-of-run persistence: publish the driver's learned layout and
+/// retire the checkpoint chain.
+fn persist_finish<T: Topology>(t: &mut T, recovery: &mut RecoveryReport) {
+    if let Some(fingerprint) = t.fleet().persist.fingerprint() {
+        let layout = t.layout(fingerprint, recovery);
+        t.fleet_mut().persist.finish(layout, recovery);
+    }
 }
 
 /// Advances `walk` one BFS level on the fleet: checkpoint (published
@@ -448,7 +458,7 @@ fn try_bfs_once<T: Topology>(t: &mut T, source: VertexId) -> Result<MultiBfsResu
 /// which re-admits sibling lanes).
 ///
 /// [`reshapes`]: Walk::reshapes
-pub(crate) fn step_level<T: Topology>(t: &mut T, walk: &mut FleetWalk) -> Result<bool, BfsError> {
+pub(crate) fn step_level<T: Topology>(t: &mut T, walk: &mut Walk) -> Result<bool, BfsError> {
     let level = walk.level;
     // Structural liveness bound: a level-synchronous BFS can run at most
     // n+1 levels, so a counter past the cap means the frontier never
@@ -472,8 +482,8 @@ pub(crate) fn step_level<T: Topology>(t: &mut T, walk: &mut FleetWalk) -> Result
         }
     }
     let ckpt = t.fleet().checkpoint(walk);
-    if walk.durable {
-        t.maybe_persist_checkpoint(walk, &ckpt);
+    if walk.durable && t.fleet().persist.due(level) && t.checkpoints_now() {
+        t.fleet_mut().persist_checkpoint(walk, &ckpt);
     }
     let max_retries = t.fleet().config.recovery.max_level_retries;
     let mut attempts: u32 = 0;
@@ -669,8 +679,8 @@ pub(crate) fn step_level<T: Topology>(t: &mut T, walk: &mut FleetWalk) -> Result
 fn isolate<T: Topology>(
     t: &mut T,
     device: usize,
-    ckpt: &MultiCheckpoint,
-    walk: &mut FleetWalk,
+    ckpt: &Checkpoint,
+    walk: &mut Walk,
 ) -> Result<bool, BfsError> {
     t.handle_loss(device, ckpt, walk)?;
     walk.recovery.link_isolated.push(device);
@@ -680,11 +690,12 @@ fn isolate<T: Topology>(
 
 impl Fleet {
     /// An unpartitioned fleet of `config.gpu_count` devices bound to
-    /// `csr`: every device gets its sanitizer and kernel deadline before
-    /// any allocation (so initialization tracking covers every buffer
-    /// from birth), and the snapshot store opens when persistence is
-    /// configured. The driver then loads its layout and uploads parts.
-    pub(crate) fn open(config: MultiGpuConfig, csr: &Csr) -> Self {
+    /// `csr` for a `kind` driver: every device gets its sanitizer and
+    /// kernel deadline before any allocation (so initialization tracking
+    /// covers every buffer from birth), and the snapshot store opens when
+    /// persistence is configured. The driver then loads its layout and
+    /// uploads parts.
+    pub(crate) fn open(config: MultiGpuConfig, csr: &Csr, kind: DriverKind) -> Self {
         let p = config.gpu_count;
         let mut multi = MultiDevice::new(p, config.device.clone(), config.interconnect);
         multi.set_ecc(config.ecc);
@@ -695,15 +706,6 @@ impl Fleet {
             }
             device.set_kernel_deadline_ms(config.watchdog.kernel_deadline_ms);
         }
-        let mut store = None;
-        let mut persist_errors = Vec::new();
-        let fingerprint = config.persist.as_ref().map(|_| GraphFingerprint::of(csr));
-        if let Some(policy) = &config.persist {
-            match SnapshotStore::open(&policy.state_dir, config.faults.as_ref()) {
-                Ok(s) => store = Some(s),
-                Err(e) => persist_errors.push(e),
-            }
-        }
         Fleet {
             multi,
             parts: Vec::with_capacity(p),
@@ -713,10 +715,7 @@ impl Fleet {
             tau: hub_threshold_for_capacity(csr, config.hub_cache_entries),
             retired: Vec::new(),
             level_busy: vec![0.0; p],
-            store,
-            fingerprint,
-            persist_errors,
-            warm_restart: false,
+            persist: Durability::open(kind, config.persist.as_ref(), config.faults.as_ref(), csr),
             layout_evicted: Vec::new(),
             pinned: false,
             detector: ImbalanceDetector::new(config.rebalance),
@@ -727,44 +726,6 @@ impl Fleet {
             batch_isolated: BTreeSet::new(),
             config,
         }
-    }
-
-    /// Loads the persisted layout snapshot, keeping it when it was taken
-    /// on this graph and `fits` the driver's layout rules. A defect is
-    /// recorded for the next run's report and the driver cold-starts.
-    pub(crate) fn load_layout(
-        &mut self,
-        fits: impl Fn(&LayoutSnapshot) -> bool,
-    ) -> Option<LayoutSnapshot> {
-        let (Some(store), Some(fp)) = (self.store.as_mut(), self.fingerprint) else {
-            return None;
-        };
-        match LayoutSnapshot::load(store) {
-            Ok(Some(snap)) if snap.fingerprint != fp => {
-                self.persist_errors.push(PersistError::GraphMismatch)
-            }
-            Ok(Some(snap)) if !fits(&snap) => {
-                self.persist_errors.push(PersistError::LayoutMismatch)
-            }
-            Ok(Some(snap)) => return Some(snap),
-            Ok(None) => {}
-            Err(e) => self.persist_errors.push(e),
-        }
-        None
-    }
-
-    /// Opens a walk from `source` with the initial loop variables every
-    /// fleet traversal starts from (sequential run or pipeline `lane`).
-    fn open_walk(&mut self, source: VertexId, lane: bool) -> Result<FleetWalk, BfsError> {
-        Walk::open(
-            source,
-            self.vertex_count,
-            lane,
-            &self.config.watchdog,
-            self.warm_restart,
-            &mut self.persist_errors,
-            || MultiLoopVars { dir: Direction::TopDown, switched_at: None, cache_filled: false },
-        )
     }
 
     /// Seeds a traversal from `source` on every survivor's resident
@@ -830,48 +791,49 @@ impl Fleet {
 
     /// Snapshots every device's traversal state plus the walk's host loop
     /// variables.
-    pub(crate) fn checkpoint(&self, walk: &FleetWalk) -> MultiCheckpoint {
-        let devices = self
-            .parts
-            .iter()
-            .enumerate()
-            .map(|(d, part)| {
-                let mem = self.multi.device_ref(d).mem_ref();
-                DeviceSnapshot {
-                    status: mem.view(part.state.status).to_vec(),
-                    parent: mem.view(part.state.parent).to_vec(),
-                    queues: [
-                        mem.view(part.state.queues[0]).to_vec(),
-                        mem.view(part.state.queues[1]).to_vec(),
-                        mem.view(part.state.queues[2]).to_vec(),
-                        mem.view(part.state.queues[3]).to_vec(),
-                    ],
-                    queue_sizes: part.state.queue_sizes,
-                }
-            })
-            .collect();
-        MultiCheckpoint { devices, vars: walk.vars.clone(), trace_len: walk.trace.len() }
+    pub(crate) fn checkpoint(&self, walk: &Walk) -> Checkpoint {
+        let snapshot = |(d, part): (usize, &Part)| {
+            DeviceSnapshot::capture(self.multi.device_ref(d).mem_ref(), &part.state)
+        };
+        walk.checkpoint(self.parts.iter().enumerate().map(snapshot).collect())
     }
 
     /// Rolls every surviving device back to `ckpt` (a lost device's
     /// buffers are never read again, so it is skipped). Simulated time is
     /// not rolled back: faulted work costs wall-clock, as a real relaunch
     /// would.
-    pub(crate) fn restore(&mut self, ckpt: &MultiCheckpoint, walk: &mut FleetWalk) {
+    pub(crate) fn restore(&mut self, ckpt: &Checkpoint, walk: &mut Walk) {
         for ((d, part), snap) in self.parts.iter_mut().enumerate().zip(&ckpt.devices) {
-            if !self.multi.is_alive(d) {
-                continue;
+            if self.multi.is_alive(d) {
+                snap.restore(self.multi.device(d).mem(), &mut part.state);
             }
-            let mem = self.multi.device(d).mem();
-            mem.upload(part.state.status, &snap.status);
-            mem.upload(part.state.parent, &snap.parent);
-            for (buf, data) in part.state.queues.iter().zip(&snap.queues) {
-                mem.upload(*buf, data);
-            }
-            part.state.queue_sizes = snap.queue_sizes;
         }
-        walk.vars = ckpt.vars.clone();
-        walk.trace.truncate(ckpt.trace_len);
+        walk.rewind(ckpt);
+    }
+
+    /// Devices this run evicted, in eviction order: a restored layout's
+    /// first, then the walk's losses.
+    pub(crate) fn evicted(&self, recovery: &RecoveryReport) -> Vec<u32> {
+        let ids = self.layout_evicted.iter().chain(&recovery.devices_lost);
+        ids.map(|&d| d as u32).collect()
+    }
+
+    /// Publishes `ckpt` durably. A degraded fleet checkpoints too: an
+    /// evicted device gets an empty image at its last extents and a place
+    /// in the eviction ledger, so a fresh process can rebuild the survivor
+    /// splices and resume on the shrunken fleet.
+    fn persist_checkpoint(&mut self, walk: &mut Walk, ckpt: &Checkpoint) {
+        let image = |(d, part): (usize, &Part)| {
+            if self.multi.is_alive(d) {
+                let mem = self.multi.device_ref(d).mem_ref();
+                return DeviceCheckpoint::of(&ckpt.devices[d], &part.state, mem);
+            }
+            let (td, bu) = (part.state.td_range.clone(), part.state.bu_range.clone());
+            DeviceCheckpoint { td, bu, ..DeviceCheckpoint::default() }
+        };
+        let devices = self.parts.iter().enumerate().map(image).collect();
+        let evicted = self.evicted(&walk.recovery);
+        self.persist.write(walk, devices, evicted);
     }
 
     /// Frontier total over surviving devices.
@@ -1086,7 +1048,7 @@ impl Fleet {
     /// post-loss rollback), parents first-wins across survivors (a lost
     /// device's discoveries were spliced into its recipient at eviction
     /// time).
-    fn collect(&self, walk: FleetWalk) -> MultiBfsResult {
+    fn collect(&self, walk: Walk) -> MultiBfsResult {
         let n = self.vertex_count;
         let d0 = self.multi.alive_ids()[0];
         let status = self.multi.device_ref(d0).mem_ref().view(self.parts[d0].state.status).to_vec();
@@ -1227,7 +1189,8 @@ impl Fleet {
         slot: usize,
         seed_barrier: bool,
     ) -> Result<FleetLane, BfsError> {
-        let walk = self.open_walk(source, true)?;
+        let walk =
+            Walk::open(source, self.vertex_count, true, &self.config.watchdog, &mut self.persist)?;
         let p = self.parts.len();
         let mut states: Vec<Option<BfsState>> = Vec::with_capacity(p);
         for d in 0..p {
@@ -1326,11 +1289,7 @@ impl<T: Topology> BatchHost for T {
     }
 
     fn manifest_store(&mut self) -> Option<(&mut SnapshotStore, GraphFingerprint)> {
-        let f = self.fleet_mut();
-        match (f.store.as_mut(), f.fingerprint) {
-            (Some(store), Some(fp)) => Some((store, fp)),
-            _ => None,
-        }
+        self.fleet_mut().persist.manifest_store()
     }
 
     type Lane = FleetLane;
@@ -1409,7 +1368,7 @@ impl<T: Topology> BatchHost for T {
         lane.walk.recovery.faults = lane.bundle.stats();
         let source = lane.walk.source;
         self.fleet_mut().swap_lane_states(&mut lane.states);
-        self.persist_finish(&mut lane.walk.recovery);
+        persist_finish(self, &mut lane.walk.recovery);
         let mut result = self.fleet().collect(lane.walk);
         let f = self.fleet_mut();
         f.swap_lane_states(&mut lane.states);

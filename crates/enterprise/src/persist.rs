@@ -24,8 +24,12 @@ use std::io;
 use std::ops::Range;
 use std::path::PathBuf;
 
-use enterprise_graph::Csr;
-use gpu_sim::{FaultPlan, FaultSpec, FaultStats};
+use crate::bfs::{DeviceSnapshot, LoopVars, Walk};
+use crate::error::RecoveryReport;
+use crate::kernels::Direction;
+use crate::state::BfsState;
+use enterprise_graph::{Csr, VertexId};
+use gpu_sim::{DeviceMem, FaultPlan, FaultSpec, FaultStats};
 
 /// On-disk format version. Bump on any incompatible layout change; loads of
 /// a mismatched version fail with [`PersistError::VersionMismatch`] and the
@@ -145,8 +149,9 @@ pub struct PersistPolicy {
     /// Directory holding the snapshot files. Created on open if missing.
     pub state_dir: PathBuf,
     /// When `Some(every)`, a mid-traversal checkpoint is persisted at each
-    /// level boundary where `level % every == 0` (level > 0). `None` persists
-    /// only the learned layout at the end of each successful run.
+    /// level boundary where `level % every == 0` (level > 0; a cadence of 0
+    /// counts as 1). `None` persists only the learned layout at the end of
+    /// each successful run.
     pub checkpoint_levels: Option<u32>,
 }
 
@@ -885,7 +890,7 @@ pub(crate) fn load_batch_log(
 // ---------------------------------------------------------------------------
 
 /// Per-device slice of a durable mid-traversal checkpoint.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct DeviceCheckpoint {
     pub td: Range<usize>,
     pub bu: Range<usize>,
@@ -1016,20 +1021,6 @@ impl CheckpointSnapshot {
             evicted,
             lanes,
         })
-    }
-
-    pub(crate) fn save(&self, store: &mut SnapshotStore) -> Result<(), PersistError> {
-        store.save(CHECKPOINT_FILE, &self.encode())
-    }
-
-    /// Load the raw keyframe, ignoring any delta; `Ok(None)` means none
-    /// exists. Production resume goes through [`load_checkpoint_chain`].
-    #[cfg(test)]
-    pub(crate) fn load(store: &mut SnapshotStore) -> Result<Option<Self>, PersistError> {
-        match store.load(CHECKPOINT_FILE)? {
-            Some(payload) => Ok(Some(Self::decode(&payload)?)),
-            None => Ok(None),
-        }
     }
 }
 
@@ -1242,14 +1233,298 @@ pub(crate) fn load_checkpoint_chain(
 
 /// Truncate the full-capacity queue views to their live sizes for
 /// serialization (sizes are recovered as the lengths on restore).
-pub(crate) fn truncate_queues(queues: &[Vec<u32>; 4], sizes: &[usize; 4]) -> [Vec<u32>; 4] {
+fn truncate_queues(queues: &[Vec<u32>; 4], sizes: &[usize; 4]) -> [Vec<u32>; 4] {
     std::array::from_fn(|k| queues[k][..sizes[k].min(queues[k].len())].to_vec())
+}
+
+// ---------------------------------------------------------------------------
+// The durability path the three drivers share.
+// ---------------------------------------------------------------------------
+
+impl DeviceCheckpoint {
+    /// The durable image of one device's level snapshot: the device's
+    /// scan ranges, its status and parents, its queues truncated to their
+    /// live sizes (restored as the lengths), and the hub cache read from
+    /// `mem`.
+    pub(crate) fn of(snap: &DeviceSnapshot, state: &BfsState, mem: &DeviceMem) -> Self {
+        DeviceCheckpoint {
+            td: state.td_range.clone(),
+            bu: state.bu_range.clone(),
+            status: snap.status.clone(),
+            parent: snap.parent.clone(),
+            queues: truncate_queues(&snap.queues, &snap.queue_sizes),
+            hub_src: mem.view(state.hub_src).to_vec(),
+        }
+    }
+
+    /// Whether this image's buffers fit `state` over `n` vertices:
+    /// full-size status and parents, a hub image the size of the cache,
+    /// and queues within capacity.
+    pub(crate) fn fits(&self, state: &BfsState, n: usize) -> bool {
+        self.status.len() == n
+            && self.parent.len() == n
+            && self.hub_src.len() == state.hub_cache_entries
+            && self.queues.iter().all(|q| q.len() <= n)
+    }
+
+    /// Uploads this image into `state` on `mem`: status, parents and hub
+    /// cache as stored, each queue padded back to capacity with its live
+    /// size.
+    pub(crate) fn upload(&self, mem: &mut DeviceMem, state: &mut BfsState) {
+        let n = self.status.len();
+        mem.upload(state.status, &self.status);
+        mem.upload(state.parent, &self.parent);
+        for (k, q) in self.queues.iter().enumerate() {
+            let mut padded = q.clone();
+            padded.resize(n, 0);
+            mem.upload(state.queues[k], &padded);
+            state.queue_sizes[k] = q.len();
+        }
+        mem.upload(state.hub_src, &self.hub_src);
+    }
+}
+
+impl CheckpointSnapshot {
+    /// Continues `walk` from this checkpoint: its level and host loop
+    /// variables (the inverse of the mapping [`Durability::write`] stores).
+    pub(crate) fn resume(&self, walk: &mut Walk) {
+        walk.vars = LoopVars {
+            dir: if self.dir_bottom_up { Direction::BottomUp } else { Direction::TopDown },
+            switched_at: self.switched_at,
+            cache_filled: self.cache_filled,
+            visited_edge_sum: self.visited_edge_sum,
+            bu_queue_edge_sum: self.bu_queue_edge_sum,
+            prev_frontier_edges: self.prev_frontier_edges,
+        };
+        walk.level = self.level;
+        walk.recovery.resumed_at_level = Some(self.level);
+    }
+}
+
+/// One driver instance's durability path (DESIGN.md §5g): the snapshot
+/// store, the bound graph's fingerprint, the checkpoint cadence and the
+/// keyframe + delta writer, with every compatibility rule a snapshot must
+/// pass before a driver adopts it. Each driver owns one and supplies only
+/// what it alone knows: its device images, its layout and shape rule.
+pub(crate) struct Durability {
+    kind: DriverKind,
+    /// The open store and the graph's fingerprint; `None` when persistence
+    /// is off or the store failed to open.
+    store: Option<(SnapshotStore, GraphFingerprint)>,
+    /// Checkpoint cadence in levels; `None` persists the layout only.
+    every: Option<u32>,
+    writer: CheckpointWriter,
+    /// Defects absorbed at setup, surfaced into the next run's
+    /// [`RecoveryReport::snapshot_errors`].
+    pub(crate) errors: Vec<PersistError>,
+    /// Whether setup warm-started from a persisted layout snapshot.
+    pub(crate) warm_restart: bool,
+}
+
+impl Durability {
+    /// Opens the store `policy` names (persistence is off without one) for
+    /// a `kind` driver bound to `csr`. Storage faults draw from `faults`.
+    /// An open failure is recorded for the next run and leaves
+    /// persistence off.
+    pub(crate) fn open(
+        kind: DriverKind,
+        policy: Option<&PersistPolicy>,
+        faults: Option<&FaultSpec>,
+        csr: &Csr,
+    ) -> Self {
+        let mut errors = Vec::new();
+        let store = policy.and_then(|p| match SnapshotStore::open(&p.state_dir, faults) {
+            Ok(store) => Some((store, GraphFingerprint::of(csr))),
+            Err(e) => {
+                errors.push(e);
+                None
+            }
+        });
+        Durability {
+            kind,
+            store,
+            every: policy.and_then(|p| p.checkpoint_levels),
+            writer: CheckpointWriter::new(),
+            errors,
+            warm_restart: false,
+        }
+    }
+
+    /// The bound graph's fingerprint, while persistence is on.
+    pub(crate) fn fingerprint(&self) -> Option<GraphFingerprint> {
+        self.store.as_ref().map(|(_, fp)| *fp)
+    }
+
+    /// The store and fingerprint the batch ledger shares.
+    pub(crate) fn manifest_store(&mut self) -> Option<(&mut SnapshotStore, GraphFingerprint)> {
+        self.store.as_mut().map(|(store, fp)| (store, *fp))
+    }
+
+    /// Loads the persisted layout, keeping it when it was taken on this
+    /// graph by this kind of driver with hub threshold `tau` and `fits`
+    /// the driver's shape rule; a kept layout marks the instance warm. A
+    /// defect is recorded for the next run and the driver cold-starts.
+    pub(crate) fn load_layout(
+        &mut self,
+        tau: u32,
+        fits: impl Fn(&LayoutSnapshot) -> bool,
+    ) -> Option<LayoutSnapshot> {
+        let (store, fp) = self.store.as_mut()?;
+        match LayoutSnapshot::load(store) {
+            Ok(Some(snap)) if snap.fingerprint != *fp => {
+                self.errors.push(PersistError::GraphMismatch)
+            }
+            Ok(Some(snap)) if snap.kind != self.kind || snap.hub_tau != tau || !fits(&snap) => {
+                self.errors.push(PersistError::LayoutMismatch)
+            }
+            Ok(Some(snap)) => {
+                self.warm_restart = true;
+                return Some(snap);
+            }
+            Ok(None) => {}
+            Err(e) => self.errors.push(e),
+        }
+        None
+    }
+
+    /// Loads the newest checkpoint for a walk from `source` and runs the
+    /// checks every driver shares: the chain loads, the graph and source
+    /// match, and the snapshot was written by this kind of driver, outside
+    /// a pipelined window, for as many devices as `states` (device order)
+    /// holds. On an intact fleet every image must fit its device's state
+    /// and scan ranges over `n` vertices; a checkpoint with evictions
+    /// passes only when the caller resumes `degraded` fleets (and checks
+    /// the survivors' images itself). A defect is recorded in `recovery`
+    /// and the walk cold-starts.
+    pub(crate) fn load_checkpoint<'a>(
+        &mut self,
+        source: VertexId,
+        states: impl ExactSizeIterator<Item = &'a BfsState>,
+        n: usize,
+        degraded: bool,
+        recovery: &mut RecoveryReport,
+    ) -> Option<CheckpointSnapshot> {
+        let (store, fp) = self.store.as_mut()?;
+        let errors = &mut recovery.snapshot_errors;
+        let snap = match load_checkpoint_chain(store, errors) {
+            Ok(snap) => snap?,
+            Err(e) => {
+                errors.push(e);
+                return None;
+            }
+        };
+        if snap.fingerprint != *fp {
+            errors.push(PersistError::GraphMismatch);
+        } else if snap.source != source {
+            errors.push(PersistError::SourceMismatch);
+        } else if snap.kind == self.kind
+            && snap.lanes.is_empty()
+            && snap.devices.len() == states.len()
+            && if snap.evicted.is_empty() {
+                snap.devices.iter().zip(states).all(|(dev, state)| {
+                    dev.td == state.td_range && dev.bu == state.bu_range && dev.fits(state, n)
+                })
+            } else {
+                degraded
+            }
+        {
+            return Some(snap);
+        } else {
+            errors.push(PersistError::LayoutMismatch);
+        }
+        None
+    }
+
+    /// Whether a durable checkpoint is due at the top of `level`: past
+    /// level 0, on the configured cadence (0 counts as every level).
+    pub(crate) fn due(&self, level: u32) -> bool {
+        match self.every {
+            Some(every) if self.store.is_some() => level > 0 && level % every.max(1) == 0,
+            _ => false,
+        }
+    }
+
+    /// Publishes `walk`'s checkpoint at the top of its current level —
+    /// its loop variables, the per-device `devices` images and the
+    /// `evicted` ledger — through the keyframe + delta writer. A failure
+    /// is recorded, never fatal: a lost checkpoint costs restart progress,
+    /// not correctness.
+    pub(crate) fn write(
+        &mut self,
+        walk: &mut Walk,
+        devices: Vec<DeviceCheckpoint>,
+        evicted: Vec<u32>,
+    ) {
+        let Some((store, fp)) = self.store.as_mut() else {
+            return;
+        };
+        let vars = &walk.vars;
+        let snap = CheckpointSnapshot {
+            kind: self.kind,
+            fingerprint: *fp,
+            source: walk.source,
+            level: walk.level,
+            dir_bottom_up: matches!(vars.dir, Direction::BottomUp),
+            switched_at: vars.switched_at,
+            cache_filled: vars.cache_filled,
+            visited_edge_sum: vars.visited_edge_sum,
+            bu_queue_edge_sum: vars.bu_queue_edge_sum,
+            prev_frontier_edges: vars.prev_frontier_edges,
+            devices,
+            evicted,
+            lanes: Vec::new(),
+        };
+        match self.writer.persist(store, &snap) {
+            Ok(()) => walk.recovery.snapshots_persisted += 1,
+            Err(e) => walk.recovery.snapshot_errors.push(e),
+        }
+    }
+
+    /// End-of-run persistence: publishes `layout` (`None` when it broke
+    /// the driver's shape rule, recorded as a layout mismatch), retires the
+    /// checkpoint chain — the run finished, so nothing is left to resume —
+    /// and merges the storage fault counters into `recovery`. An errored
+    /// run never gets here and leaves its checkpoint on disk: that is the
+    /// crash a restart recovers from.
+    pub(crate) fn finish(&mut self, layout: Option<LayoutSnapshot>, recovery: &mut RecoveryReport) {
+        let Some((store, _)) = self.store.as_mut() else {
+            return;
+        };
+        match layout.map(|layout| layout.save(store)) {
+            Some(Ok(())) => recovery.snapshots_persisted += 1,
+            Some(Err(e)) => recovery.snapshot_errors.push(e),
+            None => recovery.snapshot_errors.push(PersistError::LayoutMismatch),
+        }
+        for file in [CHECKPOINT_FILE, DELTA_FILE] {
+            if let Err(e) = store.remove(file) {
+                recovery.snapshot_errors.push(e);
+            }
+        }
+        self.writer = CheckpointWriter::new();
+        recovery.faults.merge(&store.take_stats());
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use enterprise_graph::gen::kronecker;
+
+    /// A bare keyframe save and load, for the format round trip: drivers
+    /// write through [`CheckpointWriter`] and resume through
+    /// [`load_checkpoint_chain`].
+    impl CheckpointSnapshot {
+        fn save(&self, store: &mut SnapshotStore) -> Result<(), PersistError> {
+            store.save(CHECKPOINT_FILE, &self.encode())
+        }
+
+        fn load(store: &mut SnapshotStore) -> Result<Option<Self>, PersistError> {
+            match store.load(CHECKPOINT_FILE)? {
+                Some(payload) => Ok(Some(Self::decode(&payload)?)),
+                None => Ok(None),
+            }
+        }
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let mut dir = std::env::temp_dir();
