@@ -17,10 +17,11 @@ use enterprise::multi_gpu::{MultiGpuConfig, MultiGpuEnterprise};
 use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
 use enterprise::validate::cpu_levels;
 use enterprise::{
-    Enterprise, EnterpriseConfig, FaultSpec, PersistError, PersistPolicy, RebalancePolicy,
-    WatchdogPolicy, CHAOS_STRAGGLER_SLOWDOWN, FORMAT_VERSION,
+    BfsError, Enterprise, EnterpriseConfig, FaultSpec, PersistError, PersistPolicy,
+    RebalancePolicy, RecoveryReport, WatchdogPolicy, CHAOS_STRAGGLER_SLOWDOWN, FORMAT_VERSION,
 };
 use enterprise_graph::gen::{kronecker, road_grid};
+use enterprise_graph::Csr;
 use std::path::PathBuf;
 
 /// A fresh per-test state directory under the target tmpdir.
@@ -490,47 +491,102 @@ fn kill_after_eviction_restarts_on_survivors_bit_identically() {
     assert!(found, "no seed in 0..300 produced a kill-after-eviction restart");
 }
 
+/// What a persistence test keeps of a traversal on any driver: depths,
+/// parents and the recovery report.
+type Outcome = (Vec<Option<u32>>, Vec<Option<u32>>, RecoveryReport);
+
+/// A traversal from a fixed source on a fresh driver instance, under a
+/// persistence policy and a watchdog.
+type Run<'a> = Box<dyn Fn(Option<PersistPolicy>, WatchdogPolicy) -> Result<Outcome, BfsError> + 'a>;
+
+/// One [`Run`] from `source` per driver: single GPU, 1-D x4, 2-D 2x2.
+fn on_each_driver(g: &Csr, source: u32) -> [(&'static str, Run<'_>); 3] {
+    [
+        (
+            "single",
+            Box::new(move |persist, watchdog| {
+                let cfg = EnterpriseConfig { persist, watchdog, ..EnterpriseConfig::default() };
+                let r = Enterprise::new(cfg, g).try_bfs(source)?;
+                Ok((r.levels, r.parents, r.recovery))
+            }),
+        ),
+        (
+            "1d",
+            Box::new(move |persist, watchdog| {
+                let cfg = MultiGpuConfig { persist, watchdog, ..MultiGpuConfig::k40s(4) };
+                let r = MultiGpuEnterprise::new(cfg, g).try_bfs(source)?;
+                Ok((r.levels, r.parents, r.recovery))
+            }),
+        ),
+        (
+            "2d",
+            Box::new(move |persist, watchdog| {
+                let cfg = Grid2DConfig { persist, watchdog, ..Grid2DConfig::k40s(2, 2) };
+                let r = MultiGpu2DEnterprise::new(cfg, g).try_bfs(source)?;
+                Ok((r.levels, r.parents, r.recovery))
+            }),
+        ),
+    ]
+}
+
 /// Satellite contract (§5g): steady-state checkpoints go out as sparse
 /// deltas against the last keyframe — materially smaller than a full
 /// snapshot on disk — and a restart replays keyframe + delta to the
-/// exact interrupted level, bit-identical to an uninterrupted run.
+/// exact interrupted level, bit-identical to an uninterrupted run, on
+/// every driver.
 #[test]
 fn delta_checkpoints_shrink_on_disk_and_resume_bit_identically() {
     let g = road_grid(16, 16, 0.05, 7);
-    let source = 1u32;
-    let reference = MultiGpuEnterprise::new(MultiGpuConfig::k40s(4), &g).bfs(source);
+    for (name, run) in on_each_driver(&g, 1) {
+        let (levels, parents, _) = run(None, WatchdogPolicy::default()).unwrap();
 
-    let dir = state_dir("delta-1d");
-    let doomed = MultiGpuConfig {
-        persist: Some(PersistPolicy::with_checkpoints(dir.clone(), 1)),
-        watchdog: doom_after(4),
-        ..MultiGpuConfig::k40s(4)
-    };
-    assert!(MultiGpuEnterprise::new(doomed, &g).try_bfs(source).is_err());
-    let key = dir.join("checkpoint.snap");
-    let delta = dir.join("checkpoint.delta.snap");
-    assert!(key.exists(), "keyframe must survive the crash");
-    assert!(delta.exists(), "steady-state cadence must publish a delta");
-    let key_len = std::fs::metadata(&key).unwrap().len();
-    let delta_len = std::fs::metadata(&delta).unwrap().len();
-    assert!(
-        delta_len * 2 < key_len,
-        "delta regressed: {delta_len} bytes vs {key_len}-byte keyframe"
-    );
+        let dir = state_dir(&format!("delta-{name}"));
+        let persist = || Some(PersistPolicy::with_checkpoints(dir.clone(), 1));
+        assert!(run(persist(), doom_after(4)).is_err(), "{name}: the doomed run must die");
+        let key = dir.join("checkpoint.snap");
+        let delta = dir.join("checkpoint.delta.snap");
+        assert!(key.exists(), "{name}: keyframe must survive the crash");
+        assert!(delta.exists(), "{name}: steady-state cadence must publish a delta");
+        let key_len = std::fs::metadata(&key).unwrap().len();
+        let delta_len = std::fs::metadata(&delta).unwrap().len();
+        assert!(
+            delta_len * 2 < key_len,
+            "{name}: delta regressed: {delta_len} bytes vs {key_len}-byte keyframe"
+        );
 
-    let cfg = MultiGpuConfig {
-        persist: Some(PersistPolicy::with_checkpoints(dir.clone(), 1)),
-        ..MultiGpuConfig::k40s(4)
-    };
-    let resumed = MultiGpuEnterprise::new(cfg, &g).try_bfs(source).expect("restart must recover");
-    assert_eq!(
-        resumed.recovery.resumed_at_level,
-        Some(4),
-        "resume must land on the delta's level, not the keyframe's"
-    );
-    assert!(resumed.recovery.snapshot_errors.is_empty(), "{:?}", resumed.recovery.snapshot_errors);
-    assert_eq!(resumed.levels, reference.levels);
-    assert_eq!(resumed.parents, reference.parents);
-    assert!(!key.exists(), "a finished run retires the keyframe");
-    assert!(!delta.exists(), "a finished run retires the delta");
+        let resumed = run(persist(), WatchdogPolicy::default());
+        let (r_levels, r_parents, recovery) = resumed.expect("restart must recover");
+        assert_eq!(
+            recovery.resumed_at_level,
+            Some(4),
+            "{name}: resume must land on the delta's level, not the keyframe's"
+        );
+        assert!(recovery.snapshot_errors.is_empty(), "{name}: {:?}", recovery.snapshot_errors);
+        assert_eq!(r_levels, levels, "{name}");
+        assert_eq!(r_parents, parents, "{name}");
+        assert!(!key.exists(), "{name}: a finished run retires the keyframe");
+        assert!(!delta.exists(), "{name}: a finished run retires the delta");
+    }
+}
+
+/// A zero checkpoint cadence counts as every level, as
+/// [`PersistPolicy::with_checkpoints`] already rounds it: the literal
+/// `Some(0)` policy finishes oracle-correct on every driver and publishes
+/// as many snapshots as a cadence of one.
+#[test]
+fn zero_checkpoint_cadence_counts_as_every_level() {
+    let g = road_grid(16, 16, 0.05, 7);
+    let oracle = cpu_levels(&g, 1);
+    for (name, run) in on_each_driver(&g, 1) {
+        let zero = PersistPolicy {
+            state_dir: state_dir(&format!("cadence-zero-{name}")),
+            checkpoint_levels: Some(0),
+        };
+        let one = PersistPolicy::with_checkpoints(state_dir(&format!("cadence-one-{name}")), 1);
+        let (levels, _, recovery) = run(Some(zero), WatchdogPolicy::default()).unwrap();
+        let (_, _, every) = run(Some(one), WatchdogPolicy::default()).unwrap();
+        assert_eq!(levels, oracle, "{name}");
+        assert!(every.snapshots_persisted > 2, "{name}: too shallow to checkpoint mid-run");
+        assert_eq!(recovery.snapshots_persisted, every.snapshots_persisted, "{name}");
+    }
 }
