@@ -1,16 +1,18 @@
 //! Crash-recovery drill for the persistence plane (not a paper figure):
-//! runs a multi-source BFS campaign on the 1-D multi-GPU driver with
-//! durable checkpoints, and can kill itself mid-campaign so CI can
-//! restart it and assert bit-identical results across the crash.
+//! runs a multi-source BFS campaign with durable checkpoints on each
+//! driver in turn — single GPU, 1-D x4, 2-D 2x2 — and can kill every
+//! campaign mid-traversal so CI can restart it and assert bit-identical
+//! results across the crash.
 //!
 //! ```text
 //! persist --state-dir=DIR [--sources=K] [--kill-after=N]
 //! ```
 //!
-//! One line per completed source goes to stdout:
+//! One line per completed (driver, source) goes to stdout, drivers in
+//! campaign order and sources ascending:
 //!
 //! ```text
-//! source=<s> depth=<d> visited=<v> digest=<hex>
+//! driver=<single|1d|2d> source=<s> depth=<d> visited=<v> digest=<hex>
 //! ```
 //!
 //! Campaign progress is a manifest (`manifest.txt` in the state
@@ -20,34 +22,93 @@
 //! replays the manifest lines verbatim, skips the completed sources,
 //! and finishes the rest, so the concatenated stdout of any
 //! kill/restart sequence must equal the stdout of one uninterrupted
-//! run. With `--kill-after=N`, the N+1-th unfinished source is run
-//! under a doomed level cap that aborts mid-traversal (leaving its
-//! durable checkpoint behind) and the process exits with status 3.
-//! Timing goes to stderr only; stdout is deterministic by construction.
+//! run. With `--kill-after=N`, the N+1-th unfinished source of each
+//! driver's campaign runs under a doomed level cap that aborts
+//! mid-traversal (leaving its durable checkpoint behind) and the rest
+//! of that campaign is skipped; once every driver has crashed this way
+//! the process exits with status 3, so one restart resumes a checkpoint
+//! on every driver. Timing goes to stderr only; stdout is deterministic
+//! by construction.
 
 use bench::{arg_value, pick_sources, result_digest};
 use enterprise::multi_gpu::{MultiGpuConfig, MultiGpuEnterprise};
-use enterprise::{PersistPolicy, WatchdogPolicy};
-use enterprise_graph::gen::kronecker;
+use enterprise::multi_gpu_2d::{Grid2DConfig, MultiGpu2DEnterprise};
+use enterprise::{
+    BfsError, Enterprise, EnterpriseConfig, PersistPolicy, RecoveryReport, WatchdogPolicy,
+};
+use enterprise_graph::{gen::kronecker, Csr, VertexId};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 const MANIFEST: &str = "manifest.txt";
 
-/// Parses the completed-source lines out of a manifest body.
-fn parse_manifest(body: &str) -> BTreeMap<u32, String> {
+/// The drivers, in campaign order.
+const DRIVERS: [&str; 3] = ["single", "1d", "2d"];
+
+/// What the drill keeps of one finished traversal.
+struct Run {
+    depth: u32,
+    visited: usize,
+    digest: u64,
+    time_ms: f64,
+    recovery: RecoveryReport,
+}
+
+/// Runs one traversal from `source` on a fresh instance of `driver`
+/// with persistence `persist` and watchdog `watchdog`.
+fn run(
+    driver: &str,
+    g: &Csr,
+    source: VertexId,
+    persist: PersistPolicy,
+    watchdog: WatchdogPolicy,
+) -> Result<Run, BfsError> {
+    let persist = Some(persist);
+    macro_rules! keep {
+        ($r:expr) => {
+            $r.map(|r| Run {
+                depth: r.depth,
+                visited: r.visited,
+                digest: result_digest(&r.levels, &r.parents),
+                time_ms: r.time_ms,
+                recovery: r.recovery,
+            })
+        };
+    }
+    match driver {
+        "single" => {
+            let cfg = EnterpriseConfig { persist, watchdog, ..EnterpriseConfig::default() };
+            keep!(Enterprise::new(cfg, g).try_bfs(source))
+        }
+        "1d" => {
+            let cfg = MultiGpuConfig { persist, watchdog, ..MultiGpuConfig::k40s(4) };
+            keep!(MultiGpuEnterprise::new(cfg, g).try_bfs(source))
+        }
+        "2d" => {
+            let cfg = Grid2DConfig { persist, watchdog, ..Grid2DConfig::k40s(2, 2) };
+            keep!(MultiGpu2DEnterprise::new(cfg, g).try_bfs(source))
+        }
+        other => unreachable!("unknown driver {other}"),
+    }
+}
+
+/// Parses the completed-source lines out of a manifest body, keyed by
+/// (campaign position of the driver, source).
+fn parse_manifest(body: &str) -> BTreeMap<(usize, u32), String> {
     let mut done = BTreeMap::new();
     for line in body.lines() {
-        let Some(rest) = line.strip_prefix("source=") else { continue };
+        let Some(rest) = line.strip_prefix("driver=") else { continue };
+        let Some((driver, rest)) = rest.split_once(" source=") else { continue };
+        let Some(d) = DRIVERS.iter().position(|&name| name == driver) else { continue };
         let Some((s, _)) = rest.split_once(' ') else { continue };
         let Ok(s) = s.parse::<u32>() else { continue };
-        done.insert(s, line.to_owned());
+        done.insert((d, s), line.to_owned());
     }
     done
 }
 
 /// Rewrites the manifest atomically (temp file + rename).
-fn write_manifest(dir: &Path, done: &BTreeMap<u32, String>) {
+fn write_manifest(dir: &Path, done: &BTreeMap<(usize, u32), String>) {
     let body: String = done.values().map(|l| format!("{l}\n")).collect();
     let tmp = dir.join(format!("{MANIFEST}.tmp"));
     std::fs::write(&tmp, body).expect("write manifest temp");
@@ -71,63 +132,70 @@ fn main() {
         .map(|b| parse_manifest(&b))
         .unwrap_or_default();
     if !done.is_empty() {
-        eprintln!("resuming campaign: {} of {} sources already durable", done.len(), sources.len());
+        eprintln!(
+            "resuming campaign: {} of {} runs already durable",
+            done.len(),
+            DRIVERS.len() * sources.len()
+        );
     }
 
-    let mut ran_this_process = 0usize;
+    let mut finished = 0usize;
     let mut warm_restarts = 0u32;
-    for &s in &sources {
-        if done.contains_key(&s) {
-            continue;
-        }
-        // Each source checkpoints into its own subdirectory: the layout
-        // snapshot is shared per (graph, config) but the mid-traversal
-        // checkpoint is per-source, and the drill must resume each
-        // interrupted source from *its* checkpoint.
-        let src_dir = state_dir.join(format!("src_{s}"));
-        let doomed = kill_after == Some(ran_this_process);
-        let cfg = MultiGpuConfig {
-            persist: Some(PersistPolicy::with_checkpoints(&src_dir, 1)),
-            watchdog: if doomed {
-                // A level cap of 2 aborts the traversal after its durable
-                // level-2 checkpoint — a deterministic stand-in for
-                // `kill -9` that still exercises the restart path.
-                WatchdogPolicy { max_levels: Some(2), ..WatchdogPolicy::default() }
-            } else {
-                WatchdogPolicy::default()
-            },
-            ..MultiGpuConfig::k40s(4)
-        };
-        let mut sys = MultiGpuEnterprise::new(cfg, &g);
-        match sys.try_bfs(s) {
-            Ok(r) => {
-                if r.recovery.warm_restart || r.recovery.resumed_at_level.is_some() {
-                    warm_restarts += 1;
+    let mut crashed = false;
+    for (d, &driver) in DRIVERS.iter().enumerate() {
+        let mut ran_this_process = 0usize;
+        for &s in &sources {
+            if done.contains_key(&(d, s)) {
+                continue;
+            }
+            // Each source checkpoints into its own subdirectory: the layout
+            // snapshot is shared per (graph, config) but the mid-traversal
+            // checkpoint is per-source, and the drill must resume each
+            // interrupted source from *its* checkpoint.
+            let src_dir = state_dir.join(format!("{driver}_src_{s}"));
+            let doomed = kill_after == Some(ran_this_process);
+            // A level cap of 2 aborts the traversal after its durable
+            // level-2 checkpoint — a deterministic stand-in for `kill -9`
+            // that still exercises the restart path.
+            let watchdog = WatchdogPolicy {
+                max_levels: doomed.then_some(2),
+                ..WatchdogPolicy::default()
+            };
+            match run(driver, &g, s, PersistPolicy::with_checkpoints(&src_dir, 1), watchdog) {
+                Ok(r) => {
+                    if r.recovery.warm_restart || r.recovery.resumed_at_level.is_some() {
+                        warm_restarts += 1;
+                    }
+                    let line = format!(
+                        "driver={driver} source={s} depth={} visited={} digest={:016x}",
+                        r.depth, r.visited, r.digest,
+                    );
+                    done.insert((d, s), line);
+                    write_manifest(&state_dir, &done);
+                    eprintln!(
+                        "{driver} source {s}: {:.3} sim-ms, {} snapshot(s) persisted{}",
+                        r.time_ms,
+                        r.recovery.snapshots_persisted,
+                        r.recovery
+                            .resumed_at_level
+                            .map_or(String::new(), |l| format!(", resumed at level {l}")),
+                    );
                 }
-                let line = format!(
-                    "source={s} depth={} visited={} digest={:016x}",
-                    r.depth,
-                    r.visited,
-                    result_digest(&r.levels, &r.parents),
-                );
-                done.insert(s, line);
-                write_manifest(&state_dir, &done);
-                eprintln!(
-                    "source {s}: {:.3} sim-ms, {} snapshot(s) persisted{}",
-                    r.time_ms,
-                    r.recovery.snapshots_persisted,
-                    r.recovery
-                        .resumed_at_level
-                        .map_or(String::new(), |l| format!(", resumed at level {l}")),
-                );
+                Err(e) if doomed => {
+                    eprintln!(
+                        "simulated crash on {driver} source {s} ({e}); durable state left in place"
+                    );
+                    crashed = true;
+                    break;
+                }
+                Err(e) => panic!("{driver} source {s} failed outside the scripted crash: {e}"),
             }
-            Err(e) if doomed => {
-                eprintln!("simulated crash on source {s} ({e}); durable state left in place");
-                std::process::exit(3);
-            }
-            Err(e) => panic!("source {s} failed outside the scripted crash: {e}"),
+            ran_this_process += 1;
+            finished += 1;
         }
-        ran_this_process += 1;
+    }
+    if crashed {
+        std::process::exit(3);
     }
 
     // Deterministic stdout: the manifest IS the output, so any
@@ -136,9 +204,9 @@ fn main() {
         println!("{line}");
     }
     eprintln!(
-        "campaign complete: {} sources, {} finished this process, {} warm restart(s)",
+        "campaign complete: {} runs, {} finished this process, {} warm restart(s)",
         done.len(),
-        ran_this_process,
+        finished,
         warm_restarts
     );
 }
